@@ -10,7 +10,8 @@ use crate::job::{ActiveJob, JobId, Placement, SubmitQueue};
 use crate::placement::{place_scoped, PlacementRule};
 use crate::policy::{estimated_occupancy, replay_shadow};
 use crate::queue::QueueDiscipline;
-use crate::sim::{cluster_mask, network, NetworkSpec, SimConfig};
+use crate::sim::network::{self, ShareScratch};
+use crate::sim::{cluster_mask, NetworkSpec, SimConfig};
 use crate::system::SystemSpec;
 
 use super::{PlacementDecision, PlacementScope, Resize, SimObserver};
@@ -214,8 +215,13 @@ pub struct InvariantAuditor {
     /// resize-conservation, and starvation bounds for the jobs the
     /// network stretches (their timing is load-dependent by design).
     network: Option<NetworkSpec>,
-    /// Mirrored wide-area flows of the running multi-cluster jobs.
+    /// Mirrored wide-area flows of the running multi-cluster jobs, in
+    /// start order as the engine keeps them (pairwise shares depend on
+    /// flow order).
     flows: Vec<MirrorFlow>,
+    /// The mirror's own buffers for the engine's share kernel.
+    flow_shares: Vec<f64>,
+    share_scratch: ShareScratch,
     last_t: f64,
     violations: Vec<Violation>,
     total: usize,
@@ -281,6 +287,8 @@ impl InvariantAuditor {
             jobs: Vec::new(),
             network: None,
             flows: Vec::new(),
+            flow_shares: Vec::new(),
+            share_scratch: ShareScratch::default(),
             last_t: f64::NEG_INFINITY,
             violations: Vec::new(),
             total: 0,
@@ -540,9 +548,12 @@ impl InvariantAuditor {
     /// shares of the current flow set.
     fn rebalance_flows(&mut self) {
         let Some(net) = self.network else { return };
-        let masks: Vec<u64> = self.flows.iter().map(|f| f.mask).collect();
-        let shares = net.shares(&masks);
-        for (flow, share) in self.flows.iter_mut().zip(shares) {
+        net.shares_into(
+            self.flows.iter().map(|f| f.mask),
+            &mut self.flow_shares,
+            &mut self.share_scratch,
+        );
+        for (flow, &share) in self.flows.iter_mut().zip(&self.flow_shares) {
             flow.stretch = network::stretch(flow.factor, share);
         }
     }
@@ -552,7 +563,7 @@ impl InvariantAuditor {
     fn remove_flow(&mut self, t: f64, id: u64) -> Option<MirrorFlow> {
         let pos = self.flows.iter().position(|f| f.id == id)?;
         self.accrue_flows(t);
-        let flow = self.flows.swap_remove(pos);
+        let flow = self.flows.remove(pos);
         self.rebalance_flows();
         Some(flow)
     }
@@ -1344,7 +1355,7 @@ impl SimObserver for InvariantAuditor {
             let expected = if to_clusters.len() < 2 {
                 // Shrunk out of the wide area: the remainder runs at the
                 // new span's (single-cluster) factor, uncontended.
-                let flow = self.flows.swap_remove(pos);
+                let flow = self.flows.remove(pos);
                 self.rebalance_flows();
                 t + flow.remaining * f_new
             } else {

@@ -22,7 +22,7 @@ use crate::system::MultiCluster;
 
 use super::arena::{cluster_mask, RunArena, SlotId};
 use super::config::{SimConfig, Warmup};
-use super::network::{self, NetworkSpec};
+use super::network::{self, NetworkSpec, ShareScratch};
 use super::outcome::{OccupancyModel, SimOutcome};
 use super::warmup::resolve_auto_warmup;
 
@@ -95,11 +95,16 @@ struct NetFlow {
 ///
 /// Flows live in a `Vec` in start order: removal is `O(running multi
 /// jobs)` — a few dozen at most — and iteration order (and with it
-/// every float reduction) is deterministic.
+/// every float reduction) is deterministic. The share buffers are
+/// reused across rebalances, so a flow-set change allocates nothing.
 #[derive(Debug)]
 struct NetState {
     spec: NetworkSpec,
     flows: Vec<NetFlow>,
+    /// Each flow's bandwidth share, in flow order, as of the last
+    /// rebalance.
+    shares: Vec<f64>,
+    scratch: ShareScratch,
 }
 
 /// Builds and runs simulation [`Session`]s from a [`SimConfig`].
@@ -420,7 +425,12 @@ where
             peak_backlog: 0,
             running: RunArena::new(),
             faults: None,
-            net: self.model.network().map(|spec| NetState { spec, flows: Vec::new() }),
+            net: self.model.network().map(|spec| NetState {
+                spec,
+                flows: Vec::new(),
+                shares: Vec::new(),
+                scratch: ShareScratch::default(),
+            }),
         };
         if let Some((t, spec)) = self.feed.next_job() {
             st.pending = Some(spec);
@@ -651,13 +661,12 @@ where
     /// bit-identical to [`OccupancyModel::Faithful`]'s.
     fn net_rebalance<C: EventCalendar<SimEvent>>(&mut self, st: &mut EngineState<C>, now: SimTime) {
         let EngineState { net, sim, running, .. } = st;
-        let Some(net) = net.as_mut() else { return };
-        if net.flows.is_empty() {
+        let Some(NetState { spec, flows, shares, scratch }) = net.as_mut() else { return };
+        if flows.is_empty() {
             return;
         }
-        let masks: Vec<u64> = net.flows.iter().map(|f| f.mask).collect();
-        let shares = net.spec.shares(&masks);
-        for (flow, share) in net.flows.iter_mut().zip(shares) {
+        spec.shares_into(flows.iter().map(|f| f.mask), shares, scratch);
+        for (flow, &share) in flows.iter_mut().zip(shares.iter()) {
             let stretch = network::stretch(flow.factor, share);
             if stretch == flow.stretch {
                 continue;
@@ -741,10 +750,9 @@ where
             metrics.record_flow_level(now, net.flows.len());
             return now + Duration::new(flow.remaining * f_new);
         }
-        let masks: Vec<u64> = net.flows.iter().map(|f| f.mask).collect();
-        let shares = net.spec.shares(&masks);
+        net.spec.shares_into(net.flows.iter().map(|f| f.mask), &mut net.shares, &mut net.scratch);
         let flow = &mut net.flows[idx];
-        flow.stretch = network::stretch(f_new, shares[idx]);
+        flow.stretch = network::stretch(f_new, net.shares[idx]);
         now + Duration::new(flow.remaining * flow.stretch)
     }
 

@@ -2,7 +2,10 @@
 //! allocator: in the steady-state event cycle — departure release,
 //! queue re-enable, scheduling pass, including passes that *start* jobs
 //! — the simulator performs **zero** heap allocations (placements of
-//! paper-scale jobs are stored inline in the job's state).
+//! paper-scale jobs are stored inline in the job's state). Whole runs
+//! extend the contract to the event loop, the calendar, the metrics and
+//! the network model: a run ten times longer allocates only what its
+//! growing buffers need, never per event.
 //!
 //! This is a single `#[test]` in its own integration-test binary on
 //! purpose: the counter is process-global, so concurrently running
@@ -16,6 +19,7 @@ use coalloc_core::job::{ActiveJob, JobId, JobTable, SubmitQueue};
 use coalloc_core::placement::PlacementRule;
 use coalloc_core::policy::PolicyKind;
 use coalloc_core::system::{MultiCluster, SystemSpec};
+use coalloc_core::{NetworkSpec, SimBuilder, SimConfig};
 use coalloc_workload::{JobRequest, JobSpec, QueueRouting};
 use desim::{Duration, RngStream, SimTime};
 
@@ -169,4 +173,28 @@ fn steady_state_event_cycle_is_allocation_free() {
     });
     assert_eq!(started, vec![waiting]);
     assert_eq!((a, f), (0, 0), "LS start pass must not touch the heap");
+
+    // ---- Whole runs: allocations do not scale with the run length ----
+    // A 20 000-job run may allocate more than a 2 000-job one only where
+    // a buffer grows (amortized doubling: a few reallocations each),
+    // never per event — with no network, a contended backbone, and
+    // contended pairwise links alike.
+    for policy in [PolicyKind::Gs, PolicyKind::Ls] {
+        for network in [None, Some(NetworkSpec::backbone(1.0)), Some(NetworkSpec::pairwise(1.0))] {
+            let run_allocs = |jobs: u64| {
+                let mut cfg = SimConfig::das(policy, 16, 0.55);
+                cfg.total_jobs = jobs;
+                cfg.warmup_jobs = jobs / 10;
+                cfg.network = network;
+                let (_, a, _) = counted(|| SimBuilder::new(&cfg).run());
+                a
+            };
+            let (short, long) = (run_allocs(2_000), run_allocs(20_000));
+            assert!(
+                long <= short + 64,
+                "{policy:?} under {network:?}: a 20 000-job run made {long} allocations, \
+                 a 2 000-job run {short}"
+            );
+        }
+    }
 }

@@ -98,10 +98,14 @@ fn pairwise_links_contend_no_more_than_a_shared_backbone() {
 
 /// A contended run passes the full invariant audit — including the
 /// gross-work conservation check that replays every flow's bandwidth
-/// shares — through the public API, for both topologies.
+/// shares — through the public API, for both topologies. Capacity-1
+/// pairwise links are the tightest case: pairwise shares depend on flow
+/// order, so the auditor's mirror must keep flows in start order as the
+/// engine does.
 #[test]
 fn contended_runs_audit_clean() {
-    for net in [NetworkSpec::backbone(1.0), NetworkSpec::pairwise(2.0)] {
+    for net in [NetworkSpec::backbone(1.0), NetworkSpec::pairwise(2.0), NetworkSpec::pairwise(1.0)]
+    {
         for policy in [PolicyKind::Gs, PolicyKind::Ls] {
             let cfg = config(policy, 0.55, Some(net));
             let mut auditor = InvariantAuditor::new(&cfg);

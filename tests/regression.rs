@@ -7,7 +7,7 @@
 //! A small tolerance absorbs platform differences in `ln`/`exp`
 //! rounding; it is far below any behavioural change.
 
-use coalloc::core::{InvariantAuditor, JsonlSink, PolicyKind, SimBuilder, SimConfig};
+use coalloc::core::{InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind, SimBuilder, SimConfig};
 
 const TOL: f64 = 1e-6;
 
@@ -46,6 +46,37 @@ fn golden_outcomes_per_policy() {
             out.metrics.gross_utilization
         );
         assert_eq!(out.completed, completed, "{policy}");
+    }
+}
+
+#[test]
+fn golden_contended_network_outcomes() {
+    // (policy, network, mean response, achieved extension, completed)
+    // recorded at seed 2003, 5000 jobs, limit 16, offered gross
+    // utilization 0.5, under a capacity-1 fabric of either topology.
+    // These pin the max-min share kernel: a kernel change that moves a
+    // single share moves a departure and with it these numbers.
+    let golden = [
+        (PolicyKind::Gs, NetworkSpec::pairwise(1.0), 1112.9494341408, 1.3804428348, 5000u64),
+        (PolicyKind::Ls, NetworkSpec::pairwise(1.0), 1147.8244953000, 1.3848748991, 5000),
+        (PolicyKind::Gs, NetworkSpec::backbone(1.0), 1514.8955713257, 1.5162198297, 5000),
+        (PolicyKind::Ls, NetworkSpec::backbone(1.0), 1483.8273978406, 1.5266170865, 5000),
+    ];
+    for (policy, net, resp, ext, completed) in golden {
+        let mut cfg = golden_cfg(policy);
+        cfg.network = Some(net);
+        let out = SimBuilder::new(&cfg).run();
+        assert!(
+            (out.metrics.mean_response - resp).abs() < TOL * resp,
+            "{policy} under {net:?}: mean response {} != golden {resp}",
+            out.metrics.mean_response
+        );
+        assert!(
+            (out.metrics.achieved_extension - ext).abs() < TOL,
+            "{policy} under {net:?}: achieved extension {} != golden {ext}",
+            out.metrics.achieved_extension
+        );
+        assert_eq!(out.completed, completed, "{policy} under {net:?}");
     }
 }
 
