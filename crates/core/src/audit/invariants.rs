@@ -1420,25 +1420,31 @@ impl SimObserver for InvariantAuditor {
 
     fn on_run_end(&mut self, now: SimTime) {
         self.check_time(now);
-        // Started-but-unfinished jobs would still hold processors; a
-        // drained run must have returned every allocated processor (up
+        // Every processor not held by a job the mirror still has running
+        // must be idle again: a drained run has returned all of them (up
         // to the effective capacity — a trace may leave a cluster down
-        // at the end of the run).
-        let stuck: Vec<(usize, u32, u32)> = self
-            .idle
-            .iter()
-            .zip(self.effective.iter())
-            .enumerate()
-            .filter(|(_, (idle, eff))| idle != eff)
-            .map(|(i, (&idle, &eff))| (i, idle, eff))
-            .collect();
-        for (i, idle, eff) in stuck {
-            self.violation(
-                ViolationKind::JobStateError,
-                now.seconds(),
-                None,
-                format!("run ended with cluster {i} at {idle}/{eff} idle"),
-            );
+        // at the end of the run), and a constant-backlog run, which
+        // stops with the machine busy, exactly the running jobs' share.
+        let mut held = vec![0u32; self.idle.len()];
+        for info in self.jobs.iter().flatten().filter(|info| info.state == JobState::Running) {
+            for &(c, procs) in &info.assignments {
+                if let Some(h) = held.get_mut(c) {
+                    *h += procs;
+                }
+            }
+        }
+        for (i, held) in held.into_iter().enumerate() {
+            let (idle, eff) = (self.idle[i], self.effective[i]);
+            if u64::from(idle) + u64::from(held) != u64::from(eff) {
+                self.violation(
+                    ViolationKind::JobStateError,
+                    now.seconds(),
+                    None,
+                    format!(
+                        "run ended with cluster {i} at {idle}/{eff} idle, {held} held by running jobs"
+                    ),
+                );
+            }
         }
     }
 }

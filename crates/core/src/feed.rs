@@ -4,6 +4,9 @@
 //! feed); the natural companion for a trace-based simulator is *direct
 //! replay* of a log's arrivals, sizes and runtimes (trace feed), with a
 //! time-scale knob to vary the offered load as trace-driven studies do.
+//! Table 3's maximal utilization needs a third kind: a *constant
+//! backlog* that keeps the queues topped up instead of arriving on a
+//! clock (backlog feed).
 
 use coalloc_trace::Trace;
 use coalloc_workload::{ArrivalProcess, JobRequest, JobSpec, Workload};
@@ -15,6 +18,17 @@ use desim::{Duration, RngStream, SimTime};
 pub trait JobFeed {
     /// The next arrival, in non-decreasing time order.
     fn next_job(&mut self) -> Option<(SimTime, JobSpec)>;
+
+    /// The constant-backlog floor this feed holds, or 0 (the default)
+    /// for a feed of timed arrivals. A [`crate::Session`] reads it once
+    /// per run; for a floor above 0 it schedules no arrival events,
+    /// tops the queues up to the floor at the start of every scheduling
+    /// pass (the first at t = 0) with jobs from [`JobFeed::next_job`]
+    /// stamped with the pass's time, and stops after the pass that
+    /// follows departure number `total_jobs`.
+    fn backlog(&self) -> usize {
+        0
+    }
 }
 
 /// The paper's stochastic feed: Poisson (or bursty renewal) arrivals,
@@ -61,6 +75,48 @@ impl JobFeed for StochasticFeed {
         self.clock += self.arrivals.next_gap(&mut self.gap_rng);
         let spec = self.workload.sample(&mut self.size_rng, &mut self.service_rng);
         Some((self.clock, spec))
+    }
+}
+
+/// The paper's constant backlog (§4, Table 3): an endless stream of
+/// jobs sampled from the workload model, drawn whenever fewer than
+/// `floor` jobs wait. Sizes and service times come from the same
+/// `"sizes"`/`"service"` substreams as [`StochasticFeed`]'s, so a
+/// backlog run and an open run on one seed see the same job sequence.
+pub struct BacklogFeed {
+    workload: Workload,
+    floor: usize,
+    size_rng: RngStream,
+    service_rng: RngStream,
+}
+
+impl BacklogFeed {
+    /// Builds a feed that keeps at least `floor` jobs waiting, drawing
+    /// all randomness from substreams of `master`.
+    ///
+    /// # Panics
+    /// Panics on a zero floor, which would be an open system with no
+    /// arrivals.
+    pub fn new(workload: Workload, floor: usize, master: &RngStream) -> Self {
+        assert!(floor > 0, "backlog must be positive");
+        BacklogFeed {
+            workload,
+            floor,
+            size_rng: master.labelled("sizes"),
+            service_rng: master.labelled("service"),
+        }
+    }
+}
+
+impl JobFeed for BacklogFeed {
+    /// The next job; its time is meaningless (the session stamps each
+    /// refill with the time of the pass that draws it).
+    fn next_job(&mut self) -> Option<(SimTime, JobSpec)> {
+        Some((SimTime::ZERO, self.workload.sample(&mut self.size_rng, &mut self.service_rng)))
+    }
+
+    fn backlog(&self) -> usize {
+        self.floor
     }
 }
 
@@ -149,6 +205,21 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 100);
+    }
+
+    #[test]
+    fn backlog_feed_is_endless_and_draws_the_stochastic_job_sequence() {
+        // Same seed, same substreams: the backlog's jobs are the open
+        // feed's jobs, without the arrival clock.
+        let master = RngStream::new(7);
+        let mut open = StochasticFeed::new(Workload::das(16), 0.1, 1.0, 50, &master);
+        let mut backlog = BacklogFeed::new(Workload::das(16), 50, &master);
+        assert_eq!(backlog.backlog(), 50);
+        assert_eq!(open.backlog(), 0, "timed feeds hold no backlog");
+        while let Some((_, spec)) = open.next_job() {
+            assert_eq!(backlog.next_job().map(|(_, s)| s), Some(spec));
+        }
+        assert!(backlog.next_job().is_some(), "a backlog never runs dry");
     }
 
     #[test]

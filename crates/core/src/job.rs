@@ -152,36 +152,16 @@ impl ActiveJob {
     }
 
     /// The service time this job will hold its processors for: the base
-    /// time, extended by `extension` if it spans multiple clusters (§2.4).
+    /// time, extended by the workload's factor for the number of clusters
+    /// it spans (§2.4; see
+    /// [`coalloc_workload::Workload::extension_factor`], which grows with
+    /// the span when a spread penalty is set).
     ///
     /// Once the job is placed, the *actual* placement decides: a flexible
     /// request that landed in a single cluster does all its communication
     /// locally and is not extended. Before placement (and for the static
-    /// request kinds, equivalently) the request's classification is used.
-    ///
-    /// Deprecated because the flat factor ignores the workload's spread
-    /// penalty: a job spanning three or more clusters is silently
-    /// under-extended whenever `spread_penalty > 0`. Use
-    /// [`ActiveJob::occupancy_in`], which derives the factor from the
-    /// actual span.
-    #[deprecated(
-        since = "0.3.0",
-        note = "applies a flat factor regardless of span; use `occupancy_in`, which \
-                charges `extension_factor(span)` and so honours the spread penalty"
-    )]
-    pub fn occupancy(&self, extension: f64) -> Duration {
-        match &self.placement {
-            Some(p) if p.assignments().len() > 1 => self.spec.base_service.scaled(extension),
-            Some(_) => self.spec.base_service,
-            None => self.spec.extended_service(extension),
-        }
-    }
-
-    /// The occupancy under a full workload model, where the extension
-    /// factor may grow with the number of clusters actually spanned
-    /// (see [`coalloc_workload::Workload::extension_factor`]). Prefer
-    /// this over [`ActiveJob::occupancy`] when a spread penalty is in
-    /// play.
+    /// request kinds, equivalently) the request's component count is
+    /// used.
     pub fn occupancy_in(&self, workload: &coalloc_workload::Workload) -> Duration {
         let span = match &self.placement {
             Some(p) => p.assignments().len(),
@@ -272,34 +252,30 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn occupancy_extends_multi_jobs() {
+        let workload = coalloc_workload::Workload::das(16);
         let single = ActiveJob::new(spec(vec![8], 100.0), SimTime::ZERO, SubmitQueue::Local(0));
         let multi = ActiveJob::new(spec(vec![8, 8], 100.0), SimTime::ZERO, SubmitQueue::Global);
-        assert_eq!(single.occupancy(1.25).seconds(), 100.0);
-        assert_eq!(multi.occupancy(1.25).seconds(), 125.0);
+        assert_eq!(single.occupancy_in(&workload).seconds(), 100.0);
+        assert_eq!(multi.occupancy_in(&workload).seconds(), 125.0);
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn flat_occupancy_under_extends_spread_jobs() {
-        // The regression the deprecation guards: with a spread penalty,
-        // the flat path charges 1.25 for a three-cluster job while the
-        // span-aware path charges extension_factor(3) = 1.25 + penalty.
+    fn occupancy_charges_the_spread_penalty_per_spanned_cluster() {
+        // A three-cluster job pays extension_factor(3) = 1.25 + penalty;
+        // without a penalty it pays the paper's constant 1.25.
         let mut workload = coalloc_workload::Workload::das(16);
         workload.spread_penalty = 0.05;
         let mut job =
             ActiveJob::new(spec(vec![8, 8, 8], 100.0), SimTime::ZERO, SubmitQueue::Global);
         job.placement = Some(Placement::new(vec![(0, 8), (1, 8), (2, 8)]));
-        let flat = job.occupancy(workload.extension).seconds();
-        let spanned = job.occupancy_in(&workload).seconds();
-        assert_eq!(flat, 125.0, "flat path ignores the third cluster");
-        assert_eq!(spanned, 130.0, "span-aware path charges 1.25 + 0.05");
-        assert!(flat < spanned, "the flat path silently under-extends");
-        // With no spread penalty the two paths agree — the deprecation
-        // changes nothing for the paper's constant-factor runs.
+        assert_eq!(job.occupancy_in(&workload).seconds(), 130.0);
         workload.spread_penalty = 0.0;
-        assert_eq!(job.occupancy(workload.extension), job.occupancy_in(&workload));
+        assert_eq!(job.occupancy_in(&workload).seconds(), 125.0);
+        // The placement, not the request, decides: the same job placed
+        // on one cluster is not extended at all.
+        job.placement = Some(Placement::new(vec![(0, 24)]));
+        assert_eq!(job.occupancy_in(&workload).seconds(), 100.0);
     }
 
     #[test]

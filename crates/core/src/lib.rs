@@ -52,7 +52,7 @@ pub use experiment::{
     SweepPoint, SweepStats, Verdict, WorkerPool, CHECKPOINT_VERSION,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, FaultTrace, InterruptPolicy, ResizePolicy};
-pub use feed::{JobFeed, StochasticFeed, TraceFeed};
+pub use feed::{BacklogFeed, JobFeed, StochasticFeed, TraceFeed};
 pub use job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
 pub use metrics::{Metrics, MetricsReport};
 pub use placement::{

@@ -4,21 +4,24 @@
 //! time-average fraction of processors being busy, which yields the
 //! maximal gross utilization."
 //!
-//! The queue(s) are never allowed to drain: whenever the backlog falls
-//! below a floor, fresh jobs are appended at the current simulation time.
-//! After a warm-up period the time-average busy fraction converges to the
-//! saturation throughput of the policy. The paper applies the method to
-//! the single-global-queue policies (GS and SC); it is implemented for
-//! every policy here, but for LS/LP the result depends on the backlog
+//! The queue(s) are never allowed to drain: a [`BacklogFeed`] tops them
+//! up to a floor at the start of every scheduling pass, and the run goes
+//! through the same [`SimBuilder`] event loop as the open-system sweeps
+//! (so observers and the invariant auditor see it too). After a warm-up
+//! period the time-average busy fraction converges to the saturation
+//! throughput of the policy. The paper applies the method to the
+//! single-global-queue policies (GS and SC); it is implemented for every
+//! policy here, but for LS/LP the result depends on the backlog
 //! composition, so Table 3 only reports GS and SC.
 
 use coalloc_workload::{QueueRouting, Workload};
-use desim::{RngStream, SimTime, Simulation};
+use desim::RngStream;
 
-use crate::job::{ActiveJob, JobId, JobTable};
+use crate::feed::BacklogFeed;
 use crate::placement::PlacementRule;
-use crate::policy::{PolicyKind, Scheduler};
-use crate::system::{MultiCluster, SystemSpec};
+use crate::policy::PolicyKind;
+use crate::sim::{SimBuilder, SimConfig};
+use crate::system::SystemSpec;
 
 /// Configuration of a constant-backlog saturation run.
 #[derive(Clone, Debug)]
@@ -72,8 +75,22 @@ impl SaturationConfig {
         }
     }
 
-    fn capacity(&self) -> u32 {
-        self.system.total_capacity()
+    /// The run this configuration describes, as the session executes
+    /// it: `total_jobs` counts departures (warm-up plus measured), and
+    /// the paper's defaults fill every other axis. The preset's arrival
+    /// rate is never used: a backlog feed schedules no arrivals.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            policy: self.policy,
+            workload: self.workload.clone(),
+            routing: self.routing.clone(),
+            system: self.system.clone(),
+            total_jobs: self.warmup_departures + self.measured_departures,
+            warmup_jobs: self.warmup_departures,
+            rule: self.rule,
+            seed: self.seed,
+            ..SimConfig::das(self.policy, 16, 1.0)
+        }
     }
 }
 
@@ -95,88 +112,19 @@ pub struct SaturationResult {
 /// Runs a constant-backlog simulation and returns the maximal
 /// utilizations.
 pub fn maximal_utilization(cfg: &SaturationConfig) -> SaturationResult {
-    assert!(cfg.backlog > 0, "backlog must be positive");
-    assert!(cfg.measured_departures > 0);
-
-    let master = RngStream::new(cfg.seed);
-    let mut size_rng = master.labelled("sizes");
-    let mut service_rng = master.labelled("service");
-    let routing_rng = master.labelled("routing");
-
-    let mut system = MultiCluster::from_spec(&cfg.system);
-    let mut policy: Box<dyn Scheduler> =
-        cfg.policy.build(&cfg.system, cfg.routing.clone(), routing_rng, cfg.rule);
-    let mut table = JobTable::new();
-
-    let mut sim: Simulation<JobId> = Simulation::new();
-    let mut busy = desim::TimeWeighted::new(SimTime::ZERO, 0.0);
-    let mut departures: u64 = 0;
-    let mut window_start = SimTime::ZERO;
-    let total = cfg.warmup_departures + cfg.measured_departures;
-
-    // Refill the backlog, run a scheduling pass, schedule departures.
-    // `started` is the caller-owned scratch of the Scheduler contract,
-    // reused across every pass of the run.
-    let mut refill_and_schedule = |sim: &mut Simulation<JobId>,
-                                   policy: &mut Box<dyn Scheduler>,
-                                   system: &mut MultiCluster,
-                                   table: &mut JobTable,
-                                   busy: &mut desim::TimeWeighted,
-                                   started: &mut Vec<JobId>| {
-        let now = sim.now();
-        while policy.queued() < cfg.backlog {
-            let spec = cfg.workload.sample(&mut size_rng, &mut service_rng);
-            let queue = policy.route(&spec);
-            let id = table.insert(ActiveJob::new(spec, now, queue));
-            policy.enqueue(id, queue);
-        }
-        started.clear();
-        policy.schedule_into(now, system, table, &mut crate::audit::NullObserver, started);
-        for &id in started.iter() {
-            let occupancy = table.get(id).occupancy_in(&cfg.workload);
-            busy.add(now, f64::from(table.get(id).spec.request.total()));
-            sim.schedule_at(now + occupancy, id);
-        }
-    };
-
-    let mut started: Vec<JobId> = Vec::new();
-    refill_and_schedule(&mut sim, &mut policy, &mut system, &mut table, &mut busy, &mut started);
-
-    while departures < total {
-        let Some(ev) = sim.step() else {
-            panic!("constant-backlog run starved: no running jobs left");
-        };
-        let now = sim.now();
-        let id = ev.payload;
-        // Borrow (not clone) the placement out of the table for release.
-        let placement = table.get(id).placement.as_ref().expect("job was started");
-        system.release(placement);
-        let released = f64::from(placement.total());
-        busy.add(now, -released);
-        policy.on_departure();
-        departures += 1;
-        if departures == cfg.warmup_departures {
-            busy.reset_window(now);
-            window_start = now;
-        }
-        refill_and_schedule(
-            &mut sim,
-            &mut policy,
-            &mut system,
-            &mut table,
-            &mut busy,
-            &mut started,
-        );
-    }
-
-    let now = sim.now();
-    let gross = busy.average(now) / f64::from(cfg.capacity());
-    let ratio = cfg.workload.gross_net_ratio();
+    let mut feed = BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
+    // A backlog has no offered load: the queues never drain.
+    let out = SimBuilder::new(&cfg.sim_config()).run_feed(&mut feed, f64::NAN);
+    let m = &out.metrics;
+    assert_eq!(
+        m.departures, cfg.measured_departures,
+        "constant-backlog run starved: no running jobs left"
+    );
     SaturationResult {
-        max_gross_utilization: gross,
-        max_net_utilization: gross / ratio,
-        departures: departures - cfg.warmup_departures,
-        window_seconds: (now - window_start).seconds(),
+        max_gross_utilization: m.gross_utilization,
+        max_net_utilization: m.gross_utilization / cfg.workload.gross_net_ratio(),
+        departures: m.departures,
+        window_seconds: m.window_seconds,
     }
 }
 
@@ -460,6 +408,55 @@ mod tests {
         // Deterministic: the vote and bisection depend only on seeds.
         let again = bisect_max_utilization_replicated(make, 0.3, 1.2, 0.1, &plan);
         assert_eq!(r, again);
+    }
+
+    #[test]
+    fn backlog_runs_audit_clean() {
+        // The constant-backlog loop is the session's loop, so the
+        // invariant auditor watches it like any open run. A backlog run
+        // stops with the machine busy; only the running jobs may hold
+        // processors at its end.
+        let mut cfgs = vec![
+            SaturationConfig::das_gs(16),
+            SaturationConfig::das_gs(32),
+            SaturationConfig::das_sc(),
+        ];
+        for policy in [PolicyKind::Ls, PolicyKind::Lp, PolicyKind::Gb] {
+            cfgs.push(SaturationConfig { policy, ..SaturationConfig::das_gs(16) });
+        }
+        for cfg in cfgs.into_iter().map(quick) {
+            let sim = cfg.sim_config();
+            let mut feed =
+                BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
+            let mut auditor = crate::audit::InvariantAuditor::new(&sim);
+            let out = SimBuilder::new(&sim).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+            assert!(auditor.is_clean(), "{}: {}", cfg.policy, auditor.report());
+            assert_eq!(out.metrics.departures, cfg.measured_departures, "{}", cfg.policy);
+            // The observed run is the unobserved one, bit for bit.
+            let plain = maximal_utilization(&cfg);
+            assert_eq!(
+                out.metrics.gross_utilization.to_bits(),
+                plain.max_gross_utilization.to_bits(),
+                "{}",
+                cfg.policy
+            );
+        }
+    }
+
+    #[test]
+    fn backlog_runs_keep_failing_clusters() {
+        // An endless backlog keeps the exponential fault process going
+        // (an open run stops drawing failures after its last arrival).
+        let cfg = quick(SaturationConfig::das_gs(16));
+        let mut sim = cfg.sim_config();
+        sim.faults = Some(crate::fault::FaultSpec::Exponential { mttf: 40_000.0, mttr: 2_000.0 });
+        let mut feed =
+            BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
+        let mut auditor = crate::audit::InvariantAuditor::new(&sim);
+        let out = SimBuilder::new(&sim).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+        assert!(auditor.is_clean(), "{}", auditor.report());
+        assert!(out.metrics.interruptions > 0, "no failure fired");
+        assert!(out.metrics.availability < 1.0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! the validation rules tying them together.
 
 use coalloc_workload::{JobDisposition, QueueRouting, Workload};
-use desim::CalendarKind;
 
 use super::network::NetworkSpec;
 use crate::fault::{FaultSpec, InterruptPolicy, ResizePolicy};
@@ -85,11 +84,6 @@ pub struct SimConfig {
     /// How malleable jobs may change shape while running (ignored for
     /// rigid and moldable dispositions).
     pub resize: ResizePolicy,
-    /// The future-event list the engine runs on. [`CalendarKind::Heap`]
-    /// (the default) reproduces historical runs byte for byte; both
-    /// calendars drain events identically, so results do not depend on
-    /// the choice — only throughput does.
-    pub calendar: CalendarKind,
     /// Finite inter-cluster bandwidth, if any. `None` (the default)
     /// keeps the paper's constant extension
     /// ([`crate::sim::OccupancyModel::Faithful`]) and reproduces
@@ -126,7 +120,6 @@ impl SimConfig {
             discipline: QueueDiscipline::Fcfs,
             estimate_factor: 2.0,
             resize: ResizePolicy::GrowAndShrink,
-            calendar: CalendarKind::Heap,
             network: None,
         }
     }
@@ -156,7 +149,6 @@ impl SimConfig {
             discipline: QueueDiscipline::Fcfs,
             estimate_factor: 2.0,
             resize: ResizePolicy::GrowAndShrink,
-            calendar: CalendarKind::Heap,
             network: None,
         }
     }
@@ -211,7 +203,6 @@ impl SimConfig {
             discipline: QueueDiscipline::Fcfs,
             estimate_factor: 2.0,
             resize: ResizePolicy::GrowAndShrink,
-            calendar: CalendarKind::Heap,
             network: None,
         }
     }

@@ -2,15 +2,13 @@
 //!
 //! [`SimBuilder`] is the single front door: it resolves the warm-up
 //! lifecycle, builds the feed and the scheduler, and hands a fully
-//! wired [`Session`] its event loop. The legacy `run*` free functions
-//! are thin deprecated shims over it (see the module docs of
-//! [`crate::sim`]).
+//! wired [`Session`] its event loop. It is the simulator's only event
+//! loop: open runs (stochastic or trace feeds) and Table 3's
+//! constant-backlog runs ([`crate::feed::BacklogFeed`]) both go through
+//! it.
 
 use coalloc_workload::{JobDisposition, JobRequest, JobSpec, RequestKind};
-use desim::{
-    CalendarKind, CalendarQueue, Duration, EventCalendar, EventId, Exponential, HeapCalendar,
-    RngStream, SimTime, Simulation, Variate,
-};
+use desim::{Duration, EventId, Exponential, RngStream, SimTime, Simulation, Variate};
 
 use crate::audit::{Interruption, NullObserver, PassTrigger, Resize, SimObserver};
 use crate::fault::{FaultKind, FaultSpec, InterruptPolicy, ResizePolicy};
@@ -306,13 +304,16 @@ impl<'a> SimBuilder<'a> {
 /// The growing-and-draining state of one run: the machine the event
 /// loop mutates. Split out of [`Session`] so arrivals, departures and
 /// scheduling passes each read as a focused step over named state.
-struct EngineState<C: EventCalendar<SimEvent>> {
+struct EngineState {
     system: MultiCluster,
     table: JobTable,
     metrics: Metrics,
-    sim: Simulation<SimEvent, C>,
+    sim: Simulation<SimEvent>,
     /// The spec of the next scheduled Arrival event.
     pending: Option<JobSpec>,
+    /// The feed's constant-backlog floor ([`JobFeed::backlog`]); 0 for
+    /// a feed of timed arrivals.
+    backlog: usize,
     /// Caller-owned scratch for the scheduling pass (see the Scheduler
     /// trait's allocation-free contract): cleared per pass, capacity
     /// reused for the whole run.
@@ -332,6 +333,15 @@ struct EngineState<C: EventCalendar<SimEvent>> {
     /// Wide-area flow state; `None` unless the run uses
     /// [`OccupancyModel::Network`].
     net: Option<NetState>,
+}
+
+impl EngineState {
+    /// Whether jobs are still to arrive: a timed arrival is pending, or
+    /// the feed is an endless backlog. Exponential faults keep failing
+    /// clusters only while this holds, so the calendar can drain.
+    fn arrivals_remain(&self) -> bool {
+        self.pending.is_some() || self.backlog > 0
+    }
 }
 
 /// One fully wired simulation: a config, a feed, a scheduler and an
@@ -375,20 +385,17 @@ where
         Session { cfg, feed, scheduler, observer, offered, model }
     }
 
-    /// Runs the event loop to completion and reports the outcome. The
-    /// config's [`CalendarKind`] picks the future-event calendar; each
-    /// choice monomorphizes its own copy of the loop, so the default
-    /// heap pays nothing for the option.
-    pub fn run(self) -> SimOutcome {
-        match self.cfg.calendar {
-            CalendarKind::Heap => self.run_on(HeapCalendar::new()),
-            CalendarKind::CalendarQueue => self.run_on(CalendarQueue::new()),
+    /// Runs the event loop to completion and reports the outcome.
+    ///
+    /// A feed with a [`JobFeed::backlog`] floor has no arrival events:
+    /// a first pass at t = 0 fills the queues, every pass tops them up
+    /// again, and the run stops after the pass that follows departure
+    /// number `total_jobs` (the machine is still busy then, by design).
+    pub fn run(mut self) -> SimOutcome {
+        let mut st = self.init();
+        if st.backlog > 0 {
+            self.pass(&mut st, SimTime::ZERO, PassTrigger::Arrival);
         }
-    }
-
-    /// The event loop over a concrete calendar.
-    fn run_on<C: EventCalendar<SimEvent>>(mut self, calendar: C) -> SimOutcome {
-        let mut st = self.init(calendar);
         while let Some(ev) = st.sim.step() {
             let now = st.sim.now();
             let trigger = match ev.payload {
@@ -401,12 +408,21 @@ where
             };
             // A scheduling pass follows every arrival and every departure.
             self.pass(&mut st, now, trigger);
+            if st.backlog > 0 && st.completed >= self.cfg.total_jobs {
+                break;
+            }
         }
         self.finish(st)
     }
 
-    /// Builds the engine state and primes the first arrival.
-    fn init<C: EventCalendar<SimEvent>>(&mut self, calendar: C) -> EngineState<C> {
+    /// Builds the engine state and primes the first arrival (a backlog
+    /// feed has none: its jobs arrive inside the passes).
+    fn init(&mut self) -> EngineState {
+        let backlog = self.feed.backlog();
+        // A backlog run holds every departed job, the queued floor and
+        // at most one running job per processor.
+        let jobs = self.cfg.total_jobs as usize
+            + if backlog > 0 { backlog + self.cfg.capacity() as usize } else { 0 };
         let mut metrics =
             Metrics::new(self.cfg.capacity(), self.scheduler.num_queues(), self.cfg.batch_size);
         if self.cfg.record_series {
@@ -414,10 +430,11 @@ where
         }
         let mut st = EngineState {
             system: MultiCluster::from_spec(&self.cfg.system),
-            table: JobTable::with_capacity(self.cfg.total_jobs as usize),
+            table: JobTable::with_capacity(jobs),
             metrics,
-            sim: Simulation::with_calendar(calendar),
+            sim: Simulation::new(),
             pending: None,
+            backlog,
             started: Vec::new(),
             generated: 0,
             completed: 0,
@@ -432,12 +449,15 @@ where
                 scratch: ShareScratch::default(),
             }),
         };
-        if let Some((t, spec)) = self.feed.next_job() {
-            st.pending = Some(spec);
-            st.sim.schedule_at(t, SimEvent::Arrival);
+        if backlog == 0 {
+            if let Some((t, spec)) = self.feed.next_job() {
+                st.pending = Some(spec);
+                st.sim.schedule_at(t, SimEvent::Arrival);
+            }
         }
         if let Some(spec) = &self.cfg.faults {
-            st.faults = Some(self.prime_faults(spec, &mut st.sim, st.pending.is_some()));
+            let arrivals = st.arrivals_remain();
+            st.faults = Some(self.prime_faults(spec, &mut st.sim, arrivals));
         }
         st
     }
@@ -446,10 +466,10 @@ where
     /// the whole script for a [`FaultSpec::Trace`], or the first
     /// failure of each cluster for [`FaultSpec::Exponential`] (only
     /// while arrivals remain, so an empty feed stays an empty run).
-    fn prime_faults<C: EventCalendar<SimEvent>>(
+    fn prime_faults(
         &self,
         spec: &FaultSpec,
-        sim: &mut Simulation<SimEvent, C>,
+        sim: &mut Simulation<SimEvent>,
         has_arrivals: bool,
     ) -> FaultState {
         let driver = match spec {
@@ -482,21 +502,11 @@ where
         FaultState { interrupt: self.cfg.interrupt, driver }
     }
 
-    /// One arrival: route, record, enqueue, and draw the next arrival
+    /// One arrival: admit the pending job and draw the next arrival
     /// from the feed.
-    fn arrival<C: EventCalendar<SimEvent>>(
-        &mut self,
-        st: &mut EngineState<C>,
-        now: SimTime,
-    ) -> PassTrigger {
-        st.generated += 1;
+    fn arrival(&mut self, st: &mut EngineState, now: SimTime) -> PassTrigger {
         let spec = st.pending.take().expect("an Arrival always has a pending spec");
-        let queue = self.scheduler.route(&spec);
-        let id = st.table.insert(ActiveJob::new(spec, now, queue));
-        self.observer.on_arrival(now, id, st.table.get(id));
-        self.scheduler.enqueue(id, queue);
-        self.observer.on_enqueue(now, id, queue);
-        st.metrics.record_arrival(now);
+        self.admit(st, now, spec);
         if let Some((t, spec)) = self.feed.next_job() {
             st.pending = Some(spec);
             st.sim.schedule_at(t.max(now), SimEvent::Arrival);
@@ -506,11 +516,22 @@ where
         PassTrigger::Arrival
     }
 
+    /// A job enters the system at `now`: route, record, enqueue.
+    fn admit(&mut self, st: &mut EngineState, now: SimTime, spec: JobSpec) {
+        st.generated += 1;
+        let queue = self.scheduler.route(&spec);
+        let id = st.table.insert(ActiveJob::new(spec, now, queue));
+        self.observer.on_arrival(now, id, st.table.get(id));
+        self.scheduler.enqueue(id, queue);
+        self.observer.on_enqueue(now, id, queue);
+        st.metrics.record_arrival(now);
+    }
+
     /// One departure: release processors, measure the job (outside the
     /// warm-up window), and let the policy re-enable queues.
-    fn departure<C: EventCalendar<SimEvent>>(
+    fn departure(
         &mut self,
-        st: &mut EngineState<C>,
+        st: &mut EngineState,
         now: SimTime,
         id: JobId,
         slot: SlotId,
@@ -549,9 +570,9 @@ where
     /// [`InterruptPolicy`], the cluster is degraded to `remaining`
     /// usable processors, and — under the exponential driver — the
     /// repair is scheduled.
-    fn cluster_down<C: EventCalendar<SimEvent>>(
+    fn cluster_down(
         &mut self,
-        st: &mut EngineState<C>,
+        st: &mut EngineState,
         now: SimTime,
         cluster: usize,
         remaining: u32,
@@ -626,17 +647,12 @@ where
     /// One cluster repair: full capacity returns, and — under the
     /// exponential driver, while arrivals remain — the next failure of
     /// this cluster is scheduled.
-    fn cluster_up<C: EventCalendar<SimEvent>>(
-        &mut self,
-        st: &mut EngineState<C>,
-        now: SimTime,
-        cluster: usize,
-    ) -> PassTrigger {
+    fn cluster_up(&mut self, st: &mut EngineState, now: SimTime, cluster: usize) -> PassTrigger {
         st.system.set_up(cluster);
         self.observer.on_cluster_up(now, cluster);
         st.metrics.record_outage_level(now, st.system.total_offline());
         self.scheduler.on_departure();
-        let has_arrivals = st.pending.is_some();
+        let has_arrivals = st.arrivals_remain();
         if let FaultDriver::Exponential { mttf, streams, .. } =
             &mut st.faults.as_mut().expect("faults enabled").driver
         {
@@ -659,7 +675,7 @@ where
     /// change are untouched — in particular, an uncontended (infinite-
     /// capacity) fabric never cancels anything, so its event sequence is
     /// bit-identical to [`OccupancyModel::Faithful`]'s.
-    fn net_rebalance<C: EventCalendar<SimEvent>>(&mut self, st: &mut EngineState<C>, now: SimTime) {
+    fn net_rebalance(&mut self, st: &mut EngineState, now: SimTime) {
         let EngineState { net, sim, running, .. } = st;
         let Some(NetState { spec, flows, shares, scratch }) = net.as_mut() else { return };
         if flows.is_empty() {
@@ -688,12 +704,7 @@ where
 
     /// Drops a departing (or killed) job's flow, if it held one.
     /// Returns whether the flow set changed — the caller rebalances.
-    fn net_remove<C: EventCalendar<SimEvent>>(
-        &mut self,
-        st: &mut EngineState<C>,
-        now: SimTime,
-        id: JobId,
-    ) -> bool {
+    fn net_remove(&mut self, st: &mut EngineState, now: SimTime, id: JobId) -> bool {
         let EngineState { net, metrics, .. } = st;
         let Some(net) = net.as_mut() else { return false };
         let before = net.flows.len();
@@ -715,9 +726,9 @@ where
     /// afterwards for everyone else (this flow's stretch is already
     /// current, so the rebalance skips it).
     #[allow(clippy::too_many_arguments)]
-    fn net_resize<C: EventCalendar<SimEvent>>(
+    fn net_resize(
         &mut self,
-        st: &mut EngineState<C>,
+        st: &mut EngineState,
         now: SimTime,
         id: JobId,
         old_total: f64,
@@ -767,9 +778,9 @@ where
     /// Returns false (no shrink; the caller falls back to the kill
     /// path) for single-component placements, which have nothing to
     /// survive on.
-    fn try_shrink<C: EventCalendar<SimEvent>>(
+    fn try_shrink(
         &mut self,
-        st: &mut EngineState<C>,
+        st: &mut EngineState,
         now: SimTime,
         id: JobId,
         slot: SlotId,
@@ -834,7 +845,7 @@ where
     /// its own cluster — the span (and thus the wide-area extension) is
     /// unchanged — and its departure moves forward conserving the
     /// remaining work.
-    fn maybe_grow<C: EventCalendar<SimEvent>>(&mut self, st: &mut EngineState<C>, now: SimTime) {
+    fn maybe_grow(&mut self, st: &mut EngineState, now: SimTime) {
         // Latest departure wins, ties to the smallest job id — the
         // explicit tie-break keeps the choice independent of arena
         // slot order (the old registry scanned ids ascending).
@@ -894,9 +905,9 @@ where
     /// adopted only when its largest component fits the largest
     /// surviving effective capacity; otherwise the job keeps its
     /// request and waits for the repair.
-    fn maybe_resplit<C: EventCalendar<SimEvent>>(
+    fn maybe_resplit(
         &self,
-        st: &mut EngineState<C>,
+        st: &mut EngineState,
         id: JobId,
         cluster: usize,
         remaining: u32,
@@ -941,14 +952,14 @@ where
         true
     }
 
-    /// One scheduling pass: start everything that fits, schedule the
-    /// departures of the started jobs, and track the backlog.
-    fn pass<C: EventCalendar<SimEvent>>(
-        &mut self,
-        st: &mut EngineState<C>,
-        now: SimTime,
-        trigger: PassTrigger,
-    ) {
+    /// One scheduling pass: top a constant backlog up to its floor,
+    /// start everything that fits, schedule the departures of the
+    /// started jobs, and track the backlog.
+    fn pass(&mut self, st: &mut EngineState, now: SimTime, trigger: PassTrigger) {
+        while self.scheduler.queued() < st.backlog {
+            let (_, spec) = self.feed.next_job().expect("a backlog feed never runs dry");
+            self.admit(st, now, spec);
+        }
         self.observer.on_pass(now, trigger);
         st.started.clear();
         self.scheduler.schedule_into(
@@ -1023,7 +1034,7 @@ where
     }
 
     /// Ends the run: final observer hook, saturation heuristic, report.
-    fn finish<C: EventCalendar<SimEvent>>(self, mut st: EngineState<C>) -> SimOutcome {
+    fn finish(self, mut st: EngineState) -> SimOutcome {
         let now = st.sim.now();
         self.observer.on_run_end(now);
         let residual = self.scheduler.queued();
@@ -1190,27 +1201,6 @@ mod tests {
             m.gross_utilization,
             m.net_utilization
         );
-    }
-
-    #[test]
-    fn calendar_queue_run_is_byte_identical_to_heap() {
-        // The hardest event pattern the engine produces: exponential
-        // faults (cancellations + out-of-band failure/repair events) on
-        // top of a backfilling policy (departure-time lookahead), with
-        // malleable jobs resizing mid-run. The calendar choice must not
-        // leak into the outcome at all — not even in the last bit.
-        use crate::fault::FaultSpec;
-        use desim::CalendarKind;
-        let mut cfg = quick(PolicyKind::Gb, 16, 0.5);
-        cfg.discipline = crate::queue::QueueDiscipline::Easy;
-        cfg.faults = Some(FaultSpec::Exponential { mttf: 40_000.0, mttr: 500.0 });
-        let heap = run(&cfg);
-        cfg.calendar = CalendarKind::CalendarQueue;
-        let cq = run(&cfg);
-        assert!(heap.metrics.interruptions > 0, "faults must actually fire");
-        let heap_json = serde_json::to_string(&heap).expect("serializable");
-        let cq_json = serde_json::to_string(&cq).expect("serializable");
-        assert_eq!(heap_json, cq_json, "calendar choice changed the outcome");
     }
 
     #[test]

@@ -1,61 +1,15 @@
-//! Future-event lists.
+//! The future-event list.
 //!
-//! Two interchangeable implementations of the pending-event set are
-//! provided:
-//!
-//! * [`HeapCalendar`] — a binary heap, `O(log n)` per operation, the
-//!   default and the right choice for the event populations this simulator
-//!   produces (tens of thousands of pending events at most).
-//! * [`CalendarQueue`] — R. Brown's calendar queue, amortized `O(1)` per
-//!   operation under stationary event-time distributions; selectable at
-//!   run time through [`CalendarKind`] (`coalloc-exp bench --calendar cq`)
-//!   and property-tested for equivalence with the heap.
-//!
-//! Both support cancellation through [`EventId`] handles using lazy
-//! deletion: a cancelled id is remembered and the entry discarded when it
-//! surfaces, so cancellation is `O(1)`. The calendar queue additionally
-//! purges tombstones when they outnumber live events, so cancellation-heavy
-//! runs do not grow the stored set without bound.
+//! [`EventCalendar`] is the pending-event contract the engine runs on;
+//! [`HeapCalendar`], a binary heap with `O(log n)` per operation, is its
+//! implementation — the right one for the event populations this
+//! simulator produces (a handful of pending events per running job,
+//! tens of thousands at most). Cancellation goes through [`EventId`]
+//! handles using lazy deletion: a cancelled id is remembered and the
+//! entry discarded when it surfaces, so cancellation is `O(1)`.
 
 use crate::event::{Event, EventId};
 use crate::time::SimTime;
-use std::collections::VecDeque;
-
-/// Selects which future-event list a simulation runs on.
-///
-/// `Heap` is the default: it keeps golden outputs byte-stable and is the
-/// right general-purpose choice. `CalendarQueue` trades worst-case
-/// `O(log n)` for amortized `O(1)` under the stationary event flows the
-/// co-allocation workloads produce; both drain in the identical
-/// (time, schedule-order) sequence, so simulation results do not depend on
-/// the choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CalendarKind {
-    /// Binary-heap calendar ([`HeapCalendar`]) — the default.
-    #[default]
-    Heap,
-    /// Brown's calendar queue ([`CalendarQueue`]).
-    CalendarQueue,
-}
-
-impl CalendarKind {
-    /// Short label used in bench output and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            CalendarKind::Heap => "heap",
-            CalendarKind::CalendarQueue => "cq",
-        }
-    }
-
-    /// Parses a CLI label; accepts `heap` and `cq`.
-    pub fn parse(s: &str) -> Option<CalendarKind> {
-        match s {
-            "heap" => Some(CalendarKind::Heap),
-            "cq" => Some(CalendarKind::CalendarQueue),
-            _ => None,
-        }
-    }
-}
 
 /// Membership set for live event ids.
 ///
@@ -112,10 +66,6 @@ impl IdSet {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -237,370 +187,6 @@ impl<E> EventCalendar<E> for HeapCalendar<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Calendar queue
-// ---------------------------------------------------------------------------
-
-/// Operation counters for the calendar queue's hot paths.
-///
-/// The counters exist so complexity fixes stay fixed: regression tests pin
-/// them to bounds the pre-fix algorithms necessarily violate (a full-scan
-/// peek, a memmove-per-pop bucket). They are always compiled in — each is
-/// a single integer increment on a path that already touches the counted
-/// data. Any future code that removes or inserts mid-bucket must account
-/// its element moves in [`CalendarProbes::bucket_moves`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CalendarProbes {
-    /// Bucket front entries examined while searching for the minimum
-    /// (peek/pop day scans and direct-search fallbacks).
-    pub min_scan_entries: u64,
-    /// Stored entries relocated by bucket insertions and removals. Front
-    /// pops move nothing; sorted insertion moves `min(pos, len - pos)`
-    /// entries toward the nearer deque end.
-    pub bucket_moves: u64,
-    /// Bucket-array resizes performed.
-    pub resizes: u64,
-    /// Tombstone purges performed.
-    pub purges: u64,
-}
-
-/// R. Brown's calendar queue: an array of time buckets (days) cycled like a
-/// wall calendar, with automatic resizing to keep about one event per
-/// bucket. Amortized `O(1)` insert/pop for stationary event-time
-/// distributions.
-///
-/// Like the engine that drives it, the queue assumes events are never
-/// inserted before the last popped time ([`crate::Simulation::schedule_at`]
-/// asserts exactly this); the day cursor only ever needs to rewind as far
-/// as the last pop. Debug builds check the resulting invariant.
-pub struct CalendarQueue<E> {
-    /// `buckets[i]` holds events with `floor(t / width) % nbuckets == i`,
-    /// each bucket sorted by (time, id). Deques, so the common removal —
-    /// popping the front — moves no other entries.
-    buckets: Vec<VecDeque<Event<E>>>,
-    width: f64,
-    /// Index of the bucket the next pop scans first.
-    cursor: usize,
-    /// Start time of the cursor bucket's current "day".
-    bucket_top: f64,
-    /// Ids inserted and not yet popped or cancelled.
-    live_ids: IdSet,
-    /// Resize thresholds: grow above `live > 2*nbuckets`, shrink below
-    /// `live < nbuckets/2`.
-    resize_enabled: bool,
-    last_popped: f64,
-    /// Total entries across buckets, including cancelled tombstones.
-    stored: usize,
-    /// Key of the earliest live event, when known. Peeks populate it and
-    /// then cost `O(1)`; it is invalidated by popping or cancelling the
-    /// minimum and improved in place by inserts that undercut it.
-    cached_min: Option<(SimTime, u64)>,
-    probes: CalendarProbes,
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    /// Creates an empty queue with a small initial bucket array.
-    pub fn new() -> Self {
-        Self::with_parameters(8, 1.0)
-    }
-
-    /// Creates an empty queue with an explicit bucket count and width;
-    /// mostly useful for tests and benchmarks.
-    pub fn with_parameters(nbuckets: usize, width: f64) -> Self {
-        assert!(nbuckets > 0, "need at least one bucket");
-        assert!(width > 0.0 && width.is_finite(), "bucket width must be positive");
-        CalendarQueue {
-            buckets: (0..nbuckets).map(|_| VecDeque::new()).collect(),
-            width,
-            cursor: 0,
-            bucket_top: 0.0,
-            live_ids: IdSet::new(),
-            resize_enabled: true,
-            last_popped: 0.0,
-            stored: 0,
-            cached_min: None,
-            probes: CalendarProbes::default(),
-        }
-    }
-
-    /// Total entries including not-yet-purged cancelled ones. Bounded at
-    /// `O(live)` by the tombstone purge even with resizing disabled.
-    pub fn stored(&self) -> usize {
-        self.stored
-    }
-
-    /// Enables or disables automatic bucket-array resizing (on by default).
-    /// Disabling pins the bucket count and width — useful for ablations and
-    /// adversarial tests; the tombstone purge keeps memory bounded even then.
-    pub fn set_resize_enabled(&mut self, enabled: bool) {
-        self.resize_enabled = enabled;
-    }
-
-    /// Operation counters for complexity regression tests and diagnostics.
-    pub fn probes(&self) -> CalendarProbes {
-        self.probes
-    }
-
-    fn nbuckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    fn bucket_index(&self, t: f64) -> usize {
-        ((t / self.width) as u64 % self.nbuckets() as u64) as usize
-    }
-
-    fn insert_sorted(bucket: &mut VecDeque<Event<E>>, ev: Event<E>) {
-        let key = ev.key();
-        let pos = bucket.partition_point(|e| e.key() <= key);
-        bucket.insert(pos, ev);
-    }
-
-    /// Re-buckets every live event into `new_n` buckets of `new_width`,
-    /// dropping cancelled tombstones along the way.
-    fn resize(&mut self, new_n: usize, new_width: f64) {
-        let mut all: Vec<Event<E>> = Vec::with_capacity(self.live_ids.len());
-        for b in &mut self.buckets {
-            for ev in b.drain(..) {
-                if self.live_ids.contains(ev.id.0) {
-                    all.push(ev);
-                }
-            }
-        }
-        self.buckets = (0..new_n).map(|_| VecDeque::new()).collect();
-        self.width = new_width;
-        self.stored = all.len();
-        for ev in all {
-            let idx = self.bucket_index(ev.time.seconds());
-            Self::insert_sorted(&mut self.buckets[idx], ev);
-        }
-        // Restart the scan from the day that contains the last popped time.
-        // `cached_min` survives: it names a key, not a position.
-        self.cursor = self.bucket_index(self.last_popped);
-        self.bucket_top = (self.last_popped / self.width).floor() * self.width;
-        self.probes.resizes += 1;
-    }
-
-    /// Picks a new bucket width as a multiple of the mean gap between the
-    /// earliest pending events (Brown's heuristic). The sample is the true
-    /// k-minimum of the live set, taken by a k-way merge over the sorted
-    /// buckets — not the first entries in bucket array order, which would
-    /// let a dense far-future cluster in a low-numbered bucket collapse the
-    /// width estimate and thrash resizes.
-    fn estimate_width(&self) -> f64 {
-        let sample: usize = 25.min(self.live_ids.len().max(2));
-        let mut heads = vec![0usize; self.nbuckets()];
-        let mut times: Vec<f64> = Vec::with_capacity(sample);
-        while times.len() < sample {
-            let mut best: Option<(usize, (SimTime, u64))> = None;
-            for (bi, bucket) in self.buckets.iter().enumerate() {
-                let mut h = heads[bi];
-                while h < bucket.len() && !self.live_ids.contains(bucket[h].id.0) {
-                    h += 1;
-                }
-                heads[bi] = h;
-                if let Some(ev) = bucket.get(h) {
-                    let key = ev.key();
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((bi, key));
-                    }
-                }
-            }
-            let Some((bi, key)) = best else { break };
-            heads[bi] += 1;
-            times.push(key.0.seconds());
-        }
-        if times.len() < 2 {
-            return self.width;
-        }
-        // The merge yields `times` already sorted ascending.
-        let span = times[times.len() - 1] - times[0];
-        let mean_gap = span / (times.len() - 1) as f64;
-        if mean_gap > 0.0 {
-            mean_gap * 3.0
-        } else {
-            self.width
-        }
-    }
-
-    fn maybe_resize(&mut self) {
-        if !self.resize_enabled {
-            return;
-        }
-        let n = self.nbuckets();
-        let live = self.live_ids.len();
-        if live > 2 * n {
-            let w = self.estimate_width();
-            self.resize(2 * n, w);
-        } else if n > 8 && live < n / 2 {
-            let w = self.estimate_width();
-            self.resize((n / 2).max(8), w);
-        }
-    }
-
-    /// Sweeps cancelled tombstones out of every bucket once they outnumber
-    /// live events `PURGE_RATIO`-fold past a small floor. Cancellation
-    /// itself stays `O(1)`; the sweep is `O(stored)` and amortizes against
-    /// the cancels that accumulated the garbage, keeping `stored()` at
-    /// `O(live)` even when resizing (the other purge point) is disabled.
-    fn maybe_purge(&mut self) {
-        const PURGE_RATIO: usize = 2;
-        const PURGE_FLOOR: usize = 64;
-        let live = self.live_ids.len();
-        let cancelled = self.stored - live;
-        if cancelled <= PURGE_FLOOR || cancelled <= live * PURGE_RATIO {
-            return;
-        }
-        let live_ids = &self.live_ids;
-        for b in &mut self.buckets {
-            b.retain(|ev| live_ids.contains(ev.id.0));
-        }
-        self.stored = live;
-        self.probes.purges += 1;
-    }
-
-    /// Drops cancelled entries from the front of a bucket in place.
-    fn skim_bucket(bucket: &mut VecDeque<Event<E>>, live_ids: &IdSet, stored: &mut usize) {
-        while let Some(first) = bucket.front() {
-            if live_ids.contains(first.id.0) {
-                break;
-            }
-            bucket.pop_front();
-            *stored -= 1;
-        }
-    }
-
-    /// Finds the bucket and key of the earliest live event by direct
-    /// search — the fallback when a full calendar year passes without
-    /// finding one.
-    fn direct_min(&mut self) -> Option<(usize, (SimTime, u64))> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
-            for ev in bucket.iter() {
-                if !self.live_ids.contains(ev.id.0) {
-                    continue;
-                }
-                self.probes.min_scan_entries += 1;
-                let key = ev.key();
-                if best.is_none_or(|(_, bk)| key < bk) {
-                    best = Some((bi, key));
-                }
-                break; // buckets are sorted; first live entry is the bucket min
-            }
-        }
-        best
-    }
-
-    /// Positions the cursor at the day containing the earliest live event
-    /// and returns that event's bucket and key. After this returns, the
-    /// front of the named bucket is the global minimum (tombstones already
-    /// skimmed), so `pop` is a plain `pop_front`.
-    fn locate_min(&mut self) -> Option<(usize, (SimTime, u64))> {
-        if self.live_ids.is_empty() {
-            return None;
-        }
-        if let Some(key) = self.cached_min {
-            // A previous peek pinned the minimum: jump straight to its day.
-            let t = key.0.seconds();
-            self.cursor = self.bucket_index(t);
-            self.bucket_top = (t / self.width).floor() * self.width;
-            let cursor = self.cursor;
-            Self::skim_bucket(&mut self.buckets[cursor], &self.live_ids, &mut self.stored);
-            debug_assert_eq!(self.buckets[cursor].front().map(Event::key), Some(key));
-            return Some((cursor, key));
-        }
-        let n = self.nbuckets();
-        // Scan at most one full year; events further out are found directly.
-        for _ in 0..n {
-            let cursor = self.cursor;
-            let day_end = self.bucket_top + self.width;
-            Self::skim_bucket(&mut self.buckets[cursor], &self.live_ids, &mut self.stored);
-            if let Some(first) = self.buckets[cursor].front() {
-                self.probes.min_scan_entries += 1;
-                if first.time.seconds() < day_end {
-                    return Some((cursor, first.key()));
-                }
-            }
-            self.cursor = (cursor + 1) % n;
-            self.bucket_top = day_end;
-        }
-        // Sparse regime: jump straight to the global minimum.
-        let (bi, key) = self.direct_min()?;
-        let t = key.0.seconds();
-        self.cursor = bi;
-        self.bucket_top = (t / self.width).floor() * self.width;
-        Some((bi, key))
-    }
-}
-
-impl<E> EventCalendar<E> for CalendarQueue<E> {
-    fn insert(&mut self, ev: Event<E>) {
-        assert!(self.live_ids.insert(ev.id.0), "duplicate event id {:?}", ev.id);
-        let key = ev.key();
-        if let Some(min) = &mut self.cached_min {
-            if key < *min {
-                *min = key;
-            }
-        } else if self.live_ids.len() == 1 {
-            // The calendar held no live events: the newcomer is the minimum.
-            self.cached_min = Some(key);
-        }
-        let idx = self.bucket_index(ev.time.seconds());
-        let bucket = &mut self.buckets[idx];
-        let pos = bucket.partition_point(|e| e.key() <= key);
-        self.probes.bucket_moves += pos.min(bucket.len() - pos) as u64;
-        bucket.insert(pos, ev);
-        self.stored += 1;
-        self.maybe_resize();
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live_ids.remove(id.0) {
-            return false;
-        }
-        if self.cached_min.is_some_and(|(_, mid)| mid == id.0) {
-            // A peek may have advanced the cursor to the cancelled
-            // minimum's day. Rewind to the last popped event's day so the
-            // next scan cannot skip an event scheduled in between — the
-            // engine only inserts at or after the last popped time.
-            self.cached_min = None;
-            self.cursor = self.bucket_index(self.last_popped);
-            self.bucket_top = (self.last_popped / self.width).floor() * self.width;
-        }
-        self.maybe_purge();
-        true
-    }
-
-    fn pop(&mut self) -> Option<Event<E>> {
-        let (bi, _key) = self.locate_min()?;
-        let ev = self.buckets[bi].pop_front().expect("locate_min leaves the minimum in front");
-        self.stored -= 1;
-        self.live_ids.remove(ev.id.0);
-        self.last_popped = ev.time.seconds();
-        self.cached_min = None;
-        self.maybe_resize();
-        Some(ev)
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        if let Some((t, _)) = self.cached_min {
-            return Some(t);
-        }
-        let (_bi, key) = self.locate_min()?;
-        self.cached_min = Some(key);
-        Some(key.0)
-    }
-
-    fn len(&self) -> usize {
-        self.live_ids.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,227 +247,5 @@ mod tests {
         assert!(c.pop().is_none());
         assert!(c.peek_time().is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn calendar_queue_orders_by_time() {
-        let mut c = CalendarQueue::new();
-        c.insert(ev(3.0, 0));
-        c.insert(ev(1.0, 1));
-        c.insert(ev(2.0, 2));
-        c.insert(ev(0.5, 3));
-        assert_eq!(drain(&mut c), vec![(0.5, 3), (1.0, 1), (2.0, 2), (3.0, 0)]);
-    }
-
-    #[test]
-    fn calendar_queue_handles_far_future_events() {
-        let mut c = CalendarQueue::with_parameters(4, 1.0);
-        c.insert(ev(1000.0, 0));
-        c.insert(ev(0.5, 1));
-        assert_eq!(drain(&mut c), vec![(0.5, 1), (1000.0, 0)]);
-    }
-
-    #[test]
-    fn calendar_queue_cancel() {
-        let mut c = CalendarQueue::new();
-        c.insert(ev(1.0, 0));
-        c.insert(ev(2.0, 1));
-        c.insert(ev(3.0, 2));
-        assert!(c.cancel(EventId(1)));
-        assert_eq!(c.len(), 2);
-        assert_eq!(drain(&mut c), vec![(1.0, 0), (3.0, 2)]);
-    }
-
-    #[test]
-    fn calendar_queue_resizes_under_load() {
-        let mut c = CalendarQueue::with_parameters(8, 0.1);
-        for i in 0..1000u64 {
-            c.insert(ev(i as f64 * 0.37, i));
-        }
-        assert!(c.nbuckets() > 8, "queue should have grown");
-        let out = drain(&mut c);
-        assert_eq!(out.len(), 1000);
-        assert!(out.windows(2).all(|w| w[0].0 <= w[1].0), "must pop in time order");
-    }
-
-    #[test]
-    fn calendar_queue_fifo_among_equal_times() {
-        let mut c = CalendarQueue::new();
-        for id in 0..5 {
-            c.insert(ev(2.0, id));
-        }
-        assert_eq!(drain(&mut c).iter().map(|x| x.1).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn calendar_queue_peek_matches_pop() {
-        let mut c = CalendarQueue::new();
-        c.insert(ev(5.0, 0));
-        c.insert(ev(3.0, 1));
-        assert_eq!(c.peek_time(), Some(SimTime::new(3.0)));
-        assert_eq!(c.pop().map(|e| e.id.raw()), Some(1));
-    }
-
-    // Defect regressions. Each of the four tests below fails on the
-    // pre-fix CalendarQueue (full-scan peek, Vec::remove(0) buckets,
-    // array-order width sampling, unbounded tombstones) when that
-    // implementation is instrumented with the same operation accounting.
-
-    #[test]
-    fn repeated_peeks_do_not_rescan() {
-        let mut c = CalendarQueue::with_parameters(64, 1.0);
-        for i in 0..512u64 {
-            c.insert(ev(i as f64 * 0.5, i));
-        }
-        let first = c.peek_time();
-        assert!(first.is_some());
-        let after_first = c.probes().min_scan_entries;
-        for _ in 0..1_000 {
-            assert_eq!(c.peek_time(), first);
-        }
-        // The old peek ran a direct_min full scan per call — ~one entry
-        // examined per non-empty bucket, every time. Cached, the thousand
-        // repeats examine nothing.
-        assert_eq!(c.probes().min_scan_entries, after_first, "repeated peeks must be O(1)");
-    }
-
-    #[test]
-    fn peek_tracks_cancellation_of_the_minimum() {
-        let mut c = CalendarQueue::new();
-        c.insert(ev(1.0, 0));
-        c.insert(ev(2.0, 1));
-        assert_eq!(c.peek_time(), Some(SimTime::new(1.0)));
-        c.cancel(EventId(0));
-        assert_eq!(c.peek_time(), Some(SimTime::new(2.0)));
-        c.insert(ev(0.5, 2));
-        assert_eq!(c.peek_time(), Some(SimTime::new(0.5)));
-        assert_eq!(c.pop().map(|e| e.id.raw()), Some(2));
-        assert_eq!(c.peek_time(), Some(SimTime::new(2.0)));
-    }
-
-    #[test]
-    fn draining_a_bucket_moves_no_entries() {
-        // 256 equal-time events land in one bucket. FIFO inserts append at
-        // the back and pops take the front, so no stored entry is ever
-        // relocated; the pre-VecDeque implementation memmoved the whole
-        // remaining bucket on every pop (O(n²) for the drain).
-        let mut c = CalendarQueue::with_parameters(8, 1.0);
-        c.set_resize_enabled(false);
-        for id in 0..256u64 {
-            c.insert(ev(2.5, id));
-        }
-        let ids: Vec<u64> = drain(&mut c).iter().map(|x| x.1).collect();
-        assert_eq!(ids, (0..256).collect::<Vec<_>>());
-        assert_eq!(c.probes().bucket_moves, 0, "FIFO drain must not shift bucket entries");
-    }
-
-    #[test]
-    fn width_estimate_samples_earliest_events_not_bucket_zero() {
-        let mut c = CalendarQueue::with_parameters(8, 1.0);
-        c.set_resize_enabled(false);
-        // A dense far-future cluster that happens to land in bucket 0 …
-        for i in 0..25u64 {
-            c.insert(ev(1000.0 + i as f64 * 1e-6, i));
-        }
-        // … and the genuinely earliest events, ~1s apart, in later buckets.
-        for (j, t) in [1.5, 2.5, 3.5].iter().enumerate() {
-            c.insert(ev(*t, 100 + j as u64));
-        }
-        // Sampling in bucket array order sees only the microsecond-spaced
-        // cluster and proposes a ~3e-6 width; sampling the earliest pending
-        // events spans the real gaps and proposes a width well above 1.
-        let w = c.estimate_width();
-        assert!(w > 1.0, "width {w} must reflect earliest-event gaps, not a far-future cluster");
-    }
-
-    #[test]
-    fn cancellation_heavy_runs_keep_stored_bounded() {
-        let mut c = CalendarQueue::with_parameters(8, 1.0);
-        c.set_resize_enabled(false);
-        for i in 0..10_000u64 {
-            c.insert(ev(i as f64 * 0.25, i));
-        }
-        for i in 0..9_990u64 {
-            assert!(c.cancel(EventId(i)));
-        }
-        assert_eq!(c.len(), 10);
-        // Without the ratio purge every tombstone stays resident until it
-        // surfaces or a resize rebuckets (disabled here): stored() == 10_000.
-        assert!(c.probes().purges > 0, "purge must have triggered");
-        assert!(c.stored() < 1_000, "tombstones must be purged, stored = {}", c.stored());
-        let tail = drain(&mut c);
-        assert_eq!(tail.len(), 10);
-        assert_eq!(tail.first().map(|x| x.1), Some(9_990));
-    }
-
-    #[test]
-    fn resize_drops_tombstones() {
-        let mut c = CalendarQueue::with_parameters(8, 1.0);
-        for i in 0..32u64 {
-            c.insert(ev(i as f64, i));
-        }
-        for i in 0..16u64 {
-            c.cancel(EventId(i));
-        }
-        // Force a grow: the rebucket keeps only live entries.
-        for i in 100..200u64 {
-            c.insert(ev(i as f64, i));
-        }
-        assert!(c.probes().resizes > 0);
-        assert_eq!(c.stored(), c.len());
-    }
-
-    #[test]
-    fn calendar_queue_interleaved_matches_heap() {
-        // Deterministic interleaving of inserts, cancels, pops and peeks;
-        // both calendars must agree at every step.
-        let mut cq = CalendarQueue::with_parameters(4, 0.5);
-        let mut heap = HeapCalendar::new();
-        let mut x: u64 = 0x2003_1973;
-        let mut next = move || {
-            // xorshift64 — deterministic, no external RNG needed here.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut id = 0u64;
-        // Like the engine, never schedule before the last popped time.
-        let mut now = 0.0f64;
-        for step in 0..4_000 {
-            match next() % 10 {
-                0..=4 => {
-                    let t = now + (next() % 1_000) as f64 / 16.0;
-                    cq.insert(ev(t, id));
-                    heap.insert(ev(t, id));
-                    id += 1;
-                }
-                5 => {
-                    let victim = EventId(next() % id.max(1));
-                    assert_eq!(cq.cancel(victim), heap.cancel(victim), "step {step}");
-                }
-                6..=7 => {
-                    assert_eq!(cq.peek_time(), heap.peek_time(), "step {step}");
-                }
-                _ => {
-                    let a = cq.pop().map(|e| (e.time, e.id));
-                    let b = heap.pop().map(|e| (e.time, e.id));
-                    assert_eq!(a, b, "step {step}");
-                    if let Some((t, _)) = a {
-                        now = t.seconds();
-                    }
-                }
-            }
-            assert_eq!(cq.len(), heap.len(), "step {step}");
-        }
-        loop {
-            let a = cq.pop().map(|e| (e.time, e.id));
-            let b = heap.pop().map(|e| (e.time, e.id));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(cq.stored(), 0);
     }
 }

@@ -236,16 +236,4 @@ mod tests {
         assert_eq!(sim.peek_time(), Some(SimTime::new(4.0)));
         assert_eq!(sim.now(), SimTime::ZERO);
     }
-
-    #[test]
-    fn works_with_calendar_queue() {
-        use crate::calendar::CalendarQueue;
-        let mut sim: Simulation<u32, CalendarQueue<u32>> =
-            Simulation::with_calendar(CalendarQueue::new());
-        for i in (0..100u32).rev() {
-            sim.schedule_at(SimTime::new(f64::from(i)), i);
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| sim.step().map(|e| e.payload)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
 }

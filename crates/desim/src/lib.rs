@@ -4,15 +4,16 @@
 //! role played by the commercial CSIM-18 package in Bucur & Epema's HPDC'03
 //! study of processor co-allocation. It provides:
 //!
-//! * a simulated clock and a future-event list ([`Simulation`]), with
-//!   pluggable calendars ([`HeapCalendar`], [`CalendarQueue`]);
+//! * a simulated clock and a future-event list ([`Simulation`]) over a
+//!   binary-heap calendar ([`HeapCalendar`]) with `O(1)` cancellation;
 //! * reproducible, independently seedable random streams ([`RngStream`]);
 //! * the variate generators a trace-driven queueing study needs
 //!   ([`Exponential`], [`EmpiricalDiscrete`], [`EmpiricalContinuous`], …);
 //! * output analysis: streaming moments, time-weighted averages,
-//!   histograms, and batch-means confidence intervals ([`stats`]);
-//! * counted resources with FIFO queueing ([`Resource`]), the CSIM
-//!   "facility" analogue, used for analytic validation (M/M/c).
+//!   histograms, batch-means confidence intervals ([`stats`]), MSER
+//!   warm-up truncation and sequential stopping rules;
+//! * closed-form queueing results (M/M/1, M/M/c, M/D/1) that the
+//!   simulator is validated against ([`queueing`]).
 //!
 //! Determinism is a design rule: every source of randomness is an explicit
 //! [`RngStream`], event ties break FIFO by schedule order, and no global
@@ -28,15 +29,13 @@ pub mod event;
 pub mod ks;
 pub mod quantile;
 pub mod queueing;
-pub mod record;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod stopping;
 pub mod time;
 pub mod warmup;
 
-pub use calendar::{CalendarKind, CalendarProbes, CalendarQueue, EventCalendar, HeapCalendar};
+pub use calendar::{EventCalendar, HeapCalendar};
 pub use dist::{
     Deterministic, EmpiricalContinuous, EmpiricalDiscrete, Erlang, Exponential, HyperExponential,
     Uniform, Variate,
@@ -45,8 +44,6 @@ pub use engine::Simulation;
 pub use event::{Event, EventId};
 pub use ks::{ks_critical, ks_same_distribution, ks_statistic};
 pub use quantile::P2Quantile;
-pub use record::RingLog;
-pub use resource::{GrantDiscipline, Pending, Resource};
 pub use rng::RngStream;
 pub use stats::{BatchMeans, Estimate, Histogram, TimeWeighted, Welford};
 pub use stopping::{Decision, StopReason, StoppingRule};

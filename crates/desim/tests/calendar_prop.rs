@@ -1,7 +1,7 @@
-//! Property tests: the two future-event-list implementations are
-//! observationally equivalent, and both behave like a sorted multiset.
+//! Property tests: the heap calendar is observationally equivalent to a
+//! naive sorted-list reference, i.e. it behaves like a sorted multiset.
 
-use desim::{CalendarQueue, Event, EventCalendar, EventId, HeapCalendar, SimTime};
+use desim::{Event, EventCalendar, EventId, HeapCalendar, SimTime};
 use proptest::prelude::*;
 
 /// A scripted operation against a calendar.
@@ -24,6 +24,46 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => Just(Op::Pop),
         1 => Just(Op::Peek),
     ]
+}
+
+/// The reference calendar: a plain `Vec` scanned for the earliest live
+/// `(time, id)` key on every pop and peek, with eager cancellation.
+#[derive(Default)]
+struct SortedList {
+    events: Vec<Event<u64>>,
+}
+
+impl SortedList {
+    fn earliest(&self) -> Option<usize> {
+        (0..self.events.len()).min_by(|&a, &b| {
+            let (ea, eb) = (&self.events[a], &self.events[b]);
+            ea.time.cmp(&eb.time).then(ea.id.raw().cmp(&eb.id.raw()))
+        })
+    }
+}
+
+impl EventCalendar<u64> for SortedList {
+    fn insert(&mut self, ev: Event<u64>) {
+        self.events.push(ev);
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        let before = self.events.len();
+        self.events.retain(|e| e.id != id);
+        self.events.len() < before
+    }
+
+    fn pop(&mut self) -> Option<Event<u64>> {
+        self.earliest().map(|i| self.events.remove(i))
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.earliest().map(|i| self.events[i].time)
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
 }
 
 /// Runs a script against one calendar, returning the observable trace.
@@ -73,13 +113,13 @@ fn run<C: EventCalendar<u64>>(mut cal: C, ops: &[Op]) -> Vec<(u64, Option<(f64, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Heap calendar and calendar queue produce identical traces for any
-    /// script of inserts, cancels, and pops.
+    /// The heap calendar and the sorted-list reference produce
+    /// identical traces for any script of inserts, cancels, and pops.
     #[test]
-    fn calendars_are_equivalent(ops in proptest::collection::vec(op_strategy(), 0..200)) {
+    fn heap_matches_the_sorted_reference(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         let heap_trace = run(HeapCalendar::new(), &ops);
-        let cq_trace = run(CalendarQueue::new(), &ops);
-        prop_assert_eq!(heap_trace, cq_trace);
+        let reference_trace = run(SortedList::default(), &ops);
+        prop_assert_eq!(heap_trace, reference_trace);
     }
 
     /// Popping drains events in non-decreasing time order with FIFO ties.
@@ -102,7 +142,7 @@ proptest! {
     /// len() always equals inserted - popped - cancelled.
     #[test]
     fn len_is_consistent(ops in proptest::collection::vec(op_strategy(), 0..150)) {
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut cal: HeapCalendar<u64> = HeapCalendar::new();
         let mut ids = Vec::new();
         let mut live = 0usize;
         let mut next = 0u64;

@@ -83,18 +83,6 @@ pub struct JobSpec {
     pub base_service: Duration,
 }
 
-impl JobSpec {
-    /// The service time after the wide-area extension, which applies only
-    /// to multi-component jobs.
-    pub fn extended_service(&self, extension: f64) -> Duration {
-        if self.request.is_multi() {
-            self.base_service.scaled(extension)
-        } else {
-            self.base_service
-        }
-    }
-}
-
 /// A complete workload model.
 ///
 /// ```
@@ -346,18 +334,6 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jobspec_extension_applies_to_multi_only() {
-        let single =
-            JobSpec { request: JobRequest::total_request(8), base_service: Duration::new(100.0) };
-        let multi = JobSpec {
-            request: JobRequest::from_total(64, 16, 4),
-            base_service: Duration::new(100.0),
-        };
-        assert_eq!(single.extended_service(1.25).seconds(), 100.0);
-        assert_eq!(multi.extended_service(1.25).seconds(), 125.0);
-    }
 
     #[test]
     fn das_workload_shape() {

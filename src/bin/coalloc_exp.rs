@@ -49,7 +49,6 @@ fn usage() -> ExitCode {
          \x20        serve [--threads N] [--full] [--store <dir>] [--cache-cap N]\n\
          \x20              (JSONL request daemon on stdin/stdout; --store makes\n\
          \x20               results crash-safe across restarts)\n\
-         \x20        bench [--quick|--full] [--calendar heap|cq|both] [--out <dir>]   (throughput -> BENCH_<n>.json)\n\
          fault specs: exp:MTTF:MTTR or down:T:K[:R],up:T:K,...\n\
          network specs: <bandwidth>[:backbone|:pairwise] (concurrent-flow units; `inf` = uncontended)"
     );
@@ -417,41 +416,6 @@ fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs the fixed-seed throughput harness and appends the next
-/// `BENCH_<n>.json` (see `coalloc::bench` for the methodology).
-fn bench(args: &[String]) -> Result<ExitCode, CoallocError> {
-    use coalloc::bench::{next_bench_path, run_bench_calendars, BenchScale};
-    use coalloc::desim::CalendarKind;
-    let scale =
-        if args.iter().any(|a| a == "--full") { BenchScale::Full } else { BenchScale::Quick };
-    let calendars: Vec<CalendarKind> = match flag_value(args, "--calendar")? {
-        None | Some("both") => vec![CalendarKind::Heap, CalendarKind::CalendarQueue],
-        Some(s) => match CalendarKind::parse(s) {
-            Some(kind) => vec![kind],
-            None => return Err(CoallocError::invalid("--calendar", s, "heap, cq or both")),
-        },
-    };
-    let out_dir = flag_value(args, "--out")?
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| CoallocError::io(format!("creating {}", out_dir.display()), e))?;
-    let report = run_bench_calendars(scale, &calendars);
-    for r in &report.results {
-        eprintln!(
-            "{:<3} {:<4} {:>9} events  best {:>7.3} s  {:>12.0} events/s",
-            r.policy, r.calendar, r.events, r.best_wall_seconds, r.events_per_sec
-        );
-    }
-    eprintln!("peak RSS: {:.1} MiB", report.peak_rss_bytes as f64 / (1024.0 * 1024.0));
-    let path = next_bench_path(&out_dir);
-    let json = serde_json::to_string_pretty(&report).expect("BenchReport serializes");
-    std::fs::write(&path, json + "\n")
-        .map_err(|e| CoallocError::io(format!("writing {}", path.display()), e))?;
-    println!("{}", path.display());
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Runs one simulation and prints the full outcome as JSON. `--events
 /// <path>` additionally writes the structured decision-event log (one
 /// JSON object per line); `--audit` attaches the invariant auditor and
@@ -555,9 +519,6 @@ fn main() -> ExitCode {
     if target == "serve" {
         return serve_cmd(&args[1..], scale).unwrap_or_else(fail);
     }
-    if target == "bench" {
-        return bench(&args[1..]).unwrap_or_else(fail);
-    }
     if target == "list" {
         for (name, what) in [
             ("table1", "fractions of jobs with power-of-two sizes (paper Table 1)"),
@@ -587,7 +548,6 @@ fn main() -> ExitCode {
             ("runjson", "one simulation, full JSON outcome"),
             ("sweep", "adaptive-replication sweep with per-point CI stats"),
             ("serve", "JSONL sweep/saturation daemon with a shared scenario cache"),
-            ("bench", "fixed-seed throughput harness -> BENCH_<n>.json"),
             ("all", "everything above, in paper order"),
         ] {
             use std::io::Write;

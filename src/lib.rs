@@ -37,7 +37,6 @@ pub use coalloc_trace as trace;
 pub use coalloc_workload as workload;
 pub use desim;
 
-pub mod bench;
 pub mod experiments;
 pub mod scenario;
 pub mod serve;

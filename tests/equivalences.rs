@@ -120,7 +120,6 @@ fn whole_cluster_jobs_are_mm1() {
         discipline: coalloc::core::QueueDiscipline::Fcfs,
         estimate_factor: 2.0,
         resize: coalloc::core::ResizePolicy::GrowAndShrink,
-        calendar: coalloc::desim::CalendarKind::Heap,
         network: None,
     };
     let out = SimBuilder::new(&cfg).run();

@@ -127,7 +127,6 @@ fn heterogeneous_five_cluster_system() {
         discipline: coalloc::core::QueueDiscipline::Fcfs,
         estimate_factor: 2.0,
         resize: coalloc::core::ResizePolicy::GrowAndShrink,
-        calendar: coalloc::desim::CalendarKind::Heap,
         network: None,
     };
     let out = SimBuilder::new(&cfg).run();

@@ -7,7 +7,10 @@
 //! A small tolerance absorbs platform differences in `ln`/`exp`
 //! rounding; it is far below any behavioural change.
 
-use coalloc::core::{InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind, SimBuilder, SimConfig};
+use coalloc::core::{
+    maximal_utilization, InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind, SaturationConfig,
+    SimBuilder, SimConfig,
+};
 
 const TOL: f64 = 1e-6;
 
@@ -77,6 +80,47 @@ fn golden_contended_network_outcomes() {
             out.metrics.achieved_extension
         );
         assert_eq!(out.completed, completed, "{policy} under {net:?}");
+    }
+}
+
+#[test]
+fn golden_table3_maxima() {
+    // (config, bits of gross, bits of net, departures, bits of window)
+    // of constant-backlog runs at seed 2003, 500 warm-up and 2000
+    // measured departures. Pinned bit for bit: the backlog refill draws
+    // the same size, service and routing streams as the open runs, so
+    // any change to the refill order, the busy accounting or the
+    // gross formula shows here. LS and LP route every refill, so they
+    // also pin the routing stream's consumption.
+    let golden = [
+        ("GS16", 0x3fe603b7a27b6603u64, 0x3fe212a367720939u64, 2000u64, 0x4107d424ee6d8c7au64),
+        ("GS24", 0x3fe1a02a5c333ebc, 0x3fde1efb4a0e1f37, 2000, 0x410c8be247fac74d),
+        ("GS32", 0x3fe656fb727aec17, 0x3fe351b425473d88, 2000, 0x41064ea2d364fa12),
+        ("SC", 0x3fe7d58137ee3a05, 0x3fe7d58137ee3a05, 2000, 0x4101fdf86ad7bcda),
+        ("LS16", 0x3fe5cd21861bf60b, 0x3fe1e5d35e087042, 2000, 0x410802a83c4eaba0),
+        ("LP16", 0x3fe5b885647db5a0, 0x3fe1d4e7ee4fa019, 2000, 0x4107a5e3c342e19d),
+    ];
+    for (label, gross, net, departures, window) in golden {
+        let mut cfg = match label {
+            "GS16" => SaturationConfig::das_gs(16),
+            "GS24" => SaturationConfig::das_gs(24),
+            "GS32" => SaturationConfig::das_gs(32),
+            "SC" => SaturationConfig::das_sc(),
+            "LS16" => SaturationConfig { policy: PolicyKind::Ls, ..SaturationConfig::das_gs(16) },
+            _ => SaturationConfig { policy: PolicyKind::Lp, ..SaturationConfig::das_gs(16) },
+        };
+        cfg.warmup_departures = 500;
+        cfg.measured_departures = 2_000;
+        let r = maximal_utilization(&cfg);
+        assert_eq!(
+            r.max_gross_utilization.to_bits(),
+            gross,
+            "{label}: gross {}",
+            r.max_gross_utilization
+        );
+        assert_eq!(r.max_net_utilization.to_bits(), net, "{label}: net {}", r.max_net_utilization);
+        assert_eq!(r.departures, departures, "{label}");
+        assert_eq!(r.window_seconds.to_bits(), window, "{label}: window {}", r.window_seconds);
     }
 }
 

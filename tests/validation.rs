@@ -26,7 +26,6 @@ fn queueing_cfg(servers: u32, service: ServiceDist, lambda: f64, seed: u64) -> S
         discipline: coalloc::core::QueueDiscipline::Fcfs,
         estimate_factor: 2.0,
         resize: coalloc::core::ResizePolicy::GrowAndShrink,
-        calendar: coalloc::desim::CalendarKind::Heap,
         network: None,
     }
 }
