@@ -12,43 +12,54 @@
 //! ## Format
 //!
 //! A store is a directory of segment files `store-<n>.seg`. Each
-//! segment starts with an 8-byte magic (`COALSTO1`) followed by framed
+//! segment starts with an 8-byte magic (`COALSTO2`) followed by framed
 //! records:
 //!
 //! ```text
-//! [u32 le payload len][u64 le FNV-1a(payload)][payload bytes]
+//! [u32 le payload len][u64 le FNV-1a(key ‖ payload)][u64 le digest][u64 le seed][u64 le rep][payload]
 //! ```
 //!
-//! where the payload is the JSON rendering of one record (key plus
+//! where the key is the 24 header bytes after the checksum and the
+//! payload is the JSON rendering of one record (key again, plus
 //! outcome-or-failure). Appends go to a segment opened by *this*
 //! process only — a reopened store never appends after an old tail, so
 //! a damaged suffix can never corrupt the framing of later writes —
-//! and every append is flushed before [`append`](ResultStore::append)
-//! returns.
+//! and every append is handed to the operating system in one write
+//! before [`append`](ResultStore::append) returns.
 //!
 //! ## Recovery contract
 //!
-//! Recovery is sequential per segment and **drops only the damaged
-//! suffix**: a truncated tail (the process was SIGKILLed mid-append), a
-//! bit-flipped length, checksum, or payload byte, or an unparseable
-//! record stops the scan of that segment with a warning on stderr —
-//! every record before the damage is kept, recovery never panics, and
-//! a zero-length or foreign file simply contributes nothing. The store
-//! is an optimization over re-running, never the source of truth, so
-//! dropping a record is always safe.
+//! [`open`](ResultStore::open) verifies every frame's length bound and
+//! checksum and indexes the key from the frame header; it parses no
+//! JSON. Recovery is sequential per segment and **drops only the
+//! damaged suffix**: a truncated tail (the process was SIGKILLed
+//! mid-append) or a bit-flipped length, checksum, key or payload byte
+//! stops the scan of that segment with a warning on stderr — every
+//! frame before the damage is kept, recovery never panics, and a
+//! zero-length file contributes nothing. A file without the current
+//! magic (a foreign file, or a segment written by an earlier format) is
+//! ignored with a warning and deleted by the next compaction.
+//!
+//! [`get`](ResultStore::get) verifies the frame's checksum again and
+//! parses its payload. A payload that is not a record, or whose key
+//! differs from its frame header's, reads as a miss with a warning and
+//! leaves the rest of its segment served. The store is an optimization
+//! over re-running, never the source of truth, so dropping a record is
+//! always safe.
 //!
 //! ## Compaction
 //!
 //! Duplicate keys (a record superseded by a newer append, or segments
 //! overlapping after repeated restarts) are *dead*: the index keeps
-//! only the newest. [`compact`](ResultStore::compact) rewrites every
-//! live record into one fresh segment (unique temp file + atomic
-//! rename, the checkpoint discipline) and deletes the old segments, so
-//! a long-lived daemon's disk footprint tracks its live entries.
+//! only the newest. [`compact`](ResultStore::compact) copies every live
+//! frame, checksum re-verified, into one fresh segment (unique temp
+//! file, `sync_all`, atomic rename, directory sync) and deletes the old
+//! segments, so a long-lived daemon's disk footprint tracks its live
+//! entries.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -61,10 +72,14 @@ use crate::sim::SimOutcome;
 type Key = (u64, u64, u64);
 
 /// Magic bytes opening every segment file (name + format version).
-const MAGIC: &[u8; 8] = b"COALSTO1";
+const MAGIC: &[u8; 8] = b"COALSTO2";
 
-/// Frame header size: u32 payload length + u64 payload checksum.
-const FRAME_HEADER: usize = 4 + 8;
+/// Offset of the bytes the checksum covers: the key, then the payload.
+const CHECKED_FROM: usize = 4 + 8;
+
+/// Frame header size: u32 payload length + u64 checksum + the three
+/// u64 words of the key.
+const FRAME_HEADER: usize = CHECKED_FROM + 3 * 8;
 
 /// Upper bound on one record's payload; a "length" beyond it is a
 /// corrupt frame, not a real record (keeps a bit-flipped length from
@@ -114,15 +129,33 @@ struct Loc {
     len: u32,
 }
 
+/// One segment file and the handle every read of it goes through.
+struct Segment {
+    path: PathBuf,
+    /// `None` when the file could not be opened; nothing is indexed in
+    /// it then.
+    reader: Option<File>,
+}
+
+impl Segment {
+    /// Reads the frame at `loc` (header and payload) into `frame`.
+    fn read_frame(&self, loc: Loc, frame: &mut Vec<u8>) -> std::io::Result<()> {
+        let mut file = self.reader.as_ref().ok_or(ErrorKind::NotFound)?;
+        frame.resize(FRAME_HEADER + loc.len as usize, 0);
+        file.seek(SeekFrom::Start(loc.offset))?;
+        file.read_exact(frame)
+    }
+}
+
 struct StoreInner {
     /// Live segment files, oldest first; the active one (if any) is
     /// last.
-    segments: Vec<PathBuf>,
+    segments: Vec<Segment>,
     /// Newest location of every key.
     index: HashMap<Key, Loc>,
     /// The segment this process appends to, opened lazily.
     writer: Option<ActiveSegment>,
-    /// Next segment number to allocate.
+    /// Next segment number to try.
     next_segment: u64,
     /// Records superseded by a newer append or dropped as duplicates at
     /// load — reclaimable by [`ResultStore::compact`].
@@ -141,12 +174,13 @@ struct ActiveSegment {
 /// What [`ResultStore::open`] recovered, for the operator log.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
-    /// Live records indexed (newest per key).
+    /// Checksum-valid frames indexed (newest per key); their payloads
+    /// are parsed when read.
     pub live: u64,
     /// Records superseded by a newer duplicate during the scan.
     pub superseded: u64,
-    /// Segments whose tail was damaged (truncated or bit-flipped); only
-    /// the damaged suffix was dropped.
+    /// Segments whose tail was damaged (truncated or bit-flipped) or
+    /// that lack the current magic; only the damaged suffix was dropped.
     pub damaged_segments: u64,
 }
 
@@ -165,36 +199,36 @@ fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) the store directory and recovers
-    /// every undamaged record from its segments. Damage is contained,
-    /// never fatal: a truncated or bit-flipped segment loses only its
-    /// suffix, with a warning on stderr.
+    /// Opens (creating if needed) the store directory and indexes every
+    /// checksum-valid frame of its segments. Damage is contained, never
+    /// fatal: a truncated or bit-flipped segment loses only its suffix,
+    /// with a warning on stderr.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut segments: Vec<(u64, PathBuf)> = Vec::new();
+        let mut numbered: Vec<(u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
             if let Some(n) = segment_number(&path) {
-                segments.push((n, path));
+                numbered.push((n, path));
             }
         }
-        segments.sort();
-        let next_segment = segments.last().map_or(0, |(n, _)| n + 1);
+        numbered.sort();
+        let next_segment = numbered.last().map_or(0, |(n, _)| n + 1);
 
         let mut index: HashMap<Key, Loc> = HashMap::new();
         let mut recovery = RecoveryReport::default();
-        let paths: Vec<PathBuf> = segments.into_iter().map(|(_, p)| p).collect();
-        for (seg, path) in paths.iter().enumerate() {
-            if !scan_segment(path, seg, &mut index, &mut recovery) {
-                recovery.damaged_segments += 1;
-            }
+        let mut segments = Vec::with_capacity(numbered.len());
+        for (seg, (_, path)) in numbered.into_iter().enumerate() {
+            let (reader, intact) = scan_segment(&path, seg, &mut index, &mut recovery);
+            recovery.damaged_segments += u64::from(!intact);
+            segments.push(Segment { path, reader });
         }
         recovery.live = index.len() as u64;
         Ok(ResultStore {
             dir,
             inner: Mutex::new(StoreInner {
-                segments: paths,
+                segments,
                 index,
                 writer: None,
                 next_segment,
@@ -238,26 +272,33 @@ impl ResultStore {
     }
 
     /// Reads one record back, verifying its checksum again (the bytes
-    /// may have rotted since recovery). Any damage reads as a miss —
-    /// the caller re-executes, which is always correct.
+    /// may have rotted since recovery) and parsing its payload once the
+    /// store lock is released. Any damage, a payload that is not a
+    /// record, or a payload of another key reads as a miss — the caller
+    /// re-executes, which is always correct.
     pub fn get(&self, digest: u64, seed: u64, rep: u64) -> Option<Result<SimOutcome, String>> {
-        let inner = relock(&self.inner);
-        let loc = *inner.index.get(&(digest, seed, rep))?;
-        let path = inner.segments.get(loc.seg)?.clone();
-        match read_record(&path, loc) {
-            Ok(record) => record.into_result().map(|(_, r)| r),
+        let key = (digest, seed, rep);
+        let mut frame = Vec::new();
+        let (read, path, offset) = {
+            let inner = relock(&self.inner);
+            let loc = *inner.index.get(&key)?;
+            let seg = inner.segments.get(loc.seg)?;
+            (seg.read_frame(loc, &mut frame), seg.path.clone(), loc.offset)
+        };
+        match read.map_err(|e| e.to_string()).and_then(|()| decode_record(&frame, key)) {
+            Ok(result) => Some(result),
             Err(e) => {
                 eprintln!(
-                    "warning: result store record at {}:{} unreadable ({e}); treating as a miss",
-                    path.display(),
-                    loc.offset
+                    "warning: result store record at {}:{offset} unreadable ({e}); \
+                     treating as a miss",
+                    path.display()
                 );
                 None
             }
         }
     }
 
-    /// Appends one record and flushes it to the operating system before
+    /// Appends one record and hands it to the operating system before
     /// returning, so a SIGKILL after `append` never loses the record. A
     /// failed append (disk full, permissions) warns on stderr and the
     /// store keeps serving — durability degrades, correctness does not.
@@ -265,8 +306,12 @@ impl ResultStore {
         let key = (digest, seed, rep);
         let record = StoreRecord::from_result(key, result);
         let payload = serde_json::to_string(&record).expect("store record serializes");
+        let frame = encode_frame(key, payload.as_bytes());
         let mut inner = relock(&self.inner);
-        if let Err(e) = inner.append_frame(&self.dir, key, payload.as_bytes()) {
+        if let Err(e) = inner.append_frame(&self.dir, key, &frame) {
+            // The segment's tail is unknown now: the next append starts
+            // a fresh one.
+            inner.writer = None;
             inner.append_errors += 1;
             if inner.append_errors <= 3 {
                 eprintln!("warning: result store append failed ({e}); continuing without it");
@@ -274,83 +319,79 @@ impl ResultStore {
         }
     }
 
-    /// Rewrites every live record into one fresh segment (temp file +
-    /// atomic rename) and deletes the old segments. Safe at any time: a
-    /// crash mid-compaction leaves either the old segments or the new
-    /// one plus harmless duplicates, both of which recover fully.
+    /// Copies every live frame, its checksum re-verified, into one
+    /// fresh segment (temp file + atomic rename) and deletes the old
+    /// segments. Safe at any time: a crash mid-compaction leaves either
+    /// the old segments or the new one plus harmless duplicates, both of
+    /// which recover fully.
     pub fn compact(&self) -> std::io::Result<()> {
         let mut inner = relock(&self.inner);
-        inner.writer = None; // flushes and closes the active segment
+        inner.writer = None; // closes the active segment
 
-        // Collect every live record (key order, for a deterministic
-        // layout) by re-reading the frames we already trust.
-        let mut keys: Vec<Key> = inner.index.keys().copied().collect();
-        keys.sort_unstable();
-        let mut frames: Vec<(Key, Vec<u8>)> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let loc = inner.index[&key];
-            let path = &inner.segments[loc.seg];
-            match read_record(path, loc) {
-                Ok(record) => {
-                    let payload = serde_json::to_string(&record).expect("store record serializes");
-                    frames.push((key, payload.into_bytes()));
-                }
-                Err(e) => eprintln!(
+        // Key order, for a deterministic layout.
+        let mut live: Vec<(Key, Loc)> = inner.index.iter().map(|(k, l)| (*k, *l)).collect();
+        live.sort_unstable_by_key(|&(key, _)| key);
+
+        let (target, _) = claim_segment(&self.dir, &mut inner.next_segment)?;
+        let tmp = unique_tmp_path(&target);
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        out.write_all(MAGIC)?;
+        let mut offset = MAGIC.len() as u64;
+        let mut index = HashMap::with_capacity(live.len());
+        let mut frame = Vec::new();
+        for (key, loc) in live {
+            let seg = &inner.segments[loc.seg];
+            let verified = match seg.read_frame(loc, &mut frame) {
+                Ok(()) if check_frame(&frame) == Some((key, frame.len())) => Ok(()),
+                Ok(()) => Err("corrupt frame".to_string()),
+                Err(e) => Err(e.to_string()),
+            };
+            if let Err(e) = verified {
+                eprintln!(
                     "warning: dropping unreadable store record during compaction \
                      ({}:{}: {e})",
-                    path.display(),
+                    seg.path.display(),
                     loc.offset
-                ),
+                );
+                continue;
             }
+            out.write_all(&frame)?;
+            index.insert(key, Loc { seg: 0, offset, len: loc.len });
+            offset += frame.len() as u64;
         }
-
-        let seg_no = inner.next_segment;
-        inner.next_segment += 1;
-        let target = self.dir.join(format!("store-{seg_no:06}.seg"));
-        let tmp = unique_tmp_path(&target);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(MAGIC)?;
-            let mut offset = MAGIC.len() as u64;
-            let mut index = HashMap::with_capacity(frames.len());
-            for (key, payload) in &frames {
-                write_frame(&mut file, payload)?;
-                index.insert(*key, Loc { seg: 0, offset, len: payload.len() as u32 });
-                offset += (FRAME_HEADER + payload.len()) as u64;
-            }
-            file.sync_all()?;
-            std::fs::rename(&tmp, &target)?;
-            let old = std::mem::replace(&mut inner.segments, vec![target]);
-            inner.index = index;
-            inner.dead = 0;
-            drop(inner);
-            for path in old {
-                let _ = std::fs::remove_file(path);
-            }
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, &target)?;
+        // The rename must be durable before the segments it replaces go.
+        File::open(&self.dir)?.sync_all()?;
+        let reader = File::open(&target).ok();
+        let old = std::mem::replace(&mut inner.segments, vec![Segment { path: target, reader }]);
+        inner.index = index;
+        inner.dead = 0;
+        drop(inner);
+        for seg in old {
+            drop(seg.reader);
+            let _ = std::fs::remove_file(seg.path);
         }
         Ok(())
     }
 }
 
 impl StoreInner {
-    fn append_frame(&mut self, dir: &Path, key: Key, payload: &[u8]) -> std::io::Result<()> {
+    fn append_frame(&mut self, dir: &Path, key: Key, frame: &[u8]) -> std::io::Result<()> {
         if self.writer.is_none() {
-            let seg_no = self.next_segment;
-            self.next_segment += 1;
-            let path = dir.join(format!("store-{seg_no:06}.seg"));
-            let mut file = std::fs::OpenOptions::new().create_new(true).write(true).open(&path)?;
+            let (path, mut file) = claim_segment(dir, &mut self.next_segment)?;
+            let reader = File::open(&path)?;
             file.write_all(MAGIC)?;
-            file.flush()?;
-            self.segments.push(path);
+            self.segments.push(Segment { path, reader: Some(reader) });
             self.writer = Some(ActiveSegment { file, offset: MAGIC.len() as u64 });
         }
         let seg = self.segments.len() - 1;
         let active = self.writer.as_mut().expect("active segment just ensured");
         let offset = active.offset;
-        write_frame(&mut active.file, payload)?;
-        active.file.flush()?;
-        active.offset += (FRAME_HEADER + payload.len()) as u64;
-        if self.index.insert(key, Loc { seg, offset, len: payload.len() as u32 }).is_some() {
+        active.file.write_all(frame)?;
+        active.offset += frame.len() as u64;
+        let len = (frame.len() - FRAME_HEADER) as u32;
+        if self.index.insert(key, Loc { seg, offset, len }).is_some() {
             self.dead += 1;
         }
         Ok(())
@@ -364,107 +405,120 @@ fn segment_number(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
-    w.write_all(payload)
+/// Creates the lowest free segment file from `*next` on. `create_new`
+/// makes the claim atomic: when a peer process already holds a number,
+/// this one moves on to the next instead of failing.
+fn claim_segment(dir: &Path, next: &mut u64) -> std::io::Result<(PathBuf, File)> {
+    loop {
+        let path = dir.join(format!("store-{:06}.seg", *next));
+        *next += 1;
+        match OpenOptions::new().create_new(true).write(true).open(&path) {
+            Ok(file) => return Ok((path, file)),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// Scans one segment into the index, newest record winning. Returns
-/// `false` (after warning) when a damaged suffix was dropped; the
-/// records before the damage are kept either way.
+/// One frame's bytes: length, checksum, key, payload.
+fn encode_frame(key: Key, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 8]);
+    for word in [key.0, key.1, key.2] {
+        frame.extend_from_slice(&word.to_le_bytes());
+    }
+    frame.extend_from_slice(payload);
+    let checksum = fnv1a(&frame[CHECKED_FROM..]);
+    frame[4..CHECKED_FROM].copy_from_slice(&checksum.to_le_bytes());
+    frame
+}
+
+/// Checks the frame at the head of `bytes` without reading its
+/// payload: `Some((header key, total frame length))` when the length is
+/// plausible, the bytes are all present, and the checksum over key and
+/// payload matches.
+fn check_frame(bytes: &[u8]) -> Option<(Key, usize)> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    let end = FRAME_HEADER + len as usize;
+    if fnv1a(bytes.get(CHECKED_FROM..end)?) != word(4) {
+        return None;
+    }
+    Some(((word(12), word(20), word(28)), end))
+}
+
+/// Verifies a frame re-read for `key` and parses its payload: the
+/// checksum must match, the header must carry `key`, and the payload
+/// must be a record of that same key.
+fn decode_record(frame: &[u8], key: Key) -> Result<Result<SimOutcome, String>, String> {
+    match check_frame(frame) {
+        Some((header, len)) if header == key && len == frame.len() => {}
+        Some(_) => return Err("frame header carries another key".into()),
+        None => return Err("corrupt frame".into()),
+    }
+    let payload = std::str::from_utf8(&frame[FRAME_HEADER..]).map_err(|e| e.to_string())?;
+    let record: StoreRecord = serde_json::from_str(payload).map_err(|e| e.to_string())?;
+    match record.into_result() {
+        Some((k, result)) if k == key => Ok(result),
+        Some((k, _)) => Err(format!("payload holds key {k:?}, not the frame's")),
+        None => Err("payload is not a store record".into()),
+    }
+}
+
+/// Scans one segment into the index, newest record winning. Returns the
+/// handle later reads go through and `false` as its second value (after
+/// warning) when a damaged suffix was dropped or the file is not a
+/// segment of this format; the frames before any damage are kept.
 fn scan_segment(
     path: &Path,
     seg: usize,
     index: &mut HashMap<Key, Loc>,
     recovery: &mut RecoveryReport,
-) -> bool {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+) -> (Option<File>, bool) {
+    let mut bytes = Vec::new();
+    let read = File::open(path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
+    let file = match read {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("warning: cannot read store segment {} ({e}); skipping", path.display());
-            return false;
+            return (None, false);
         }
     };
     if bytes.is_empty() {
         // A segment created but never written (or truncated to nothing):
         // nothing to recover, nothing to warn about.
-        return true;
+        return (Some(file), true);
     }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         eprintln!(
             "warning: store segment {} has no valid header; ignoring the file",
             path.display()
         );
-        return false;
+        return (Some(file), false);
     }
     let mut offset = MAGIC.len();
-    loop {
-        if offset == bytes.len() {
-            return true; // clean end of segment
-        }
-        let Some(frame) = decode_frame(&bytes[offset..]) else {
+    while offset < bytes.len() {
+        let Some((key, frame_len)) = check_frame(&bytes[offset..]) else {
             eprintln!(
                 "warning: store segment {} damaged at byte {offset}; \
                  dropping the suffix ({} records recovered so far)",
                 path.display(),
                 index.len()
             );
-            return false;
+            return (Some(file), false);
         };
-        let (payload, frame_len) = frame;
-        match serde_json::from_str::<StoreRecord>(payload).ok().and_then(StoreRecord::into_result) {
-            Some((key, _)) => {
-                let loc =
-                    Loc { seg, offset: offset as u64, len: (frame_len - FRAME_HEADER) as u32 };
-                if index.insert(key, loc).is_some() {
-                    recovery.superseded += 1;
-                }
-            }
-            None => {
-                // The checksum matched but the payload is not a record
-                // this store writes — same containment as bit damage.
-                eprintln!(
-                    "warning: store segment {} holds an unparseable record at byte {offset}; \
-                     dropping the suffix",
-                    path.display()
-                );
-                return false;
-            }
+        let loc = Loc { seg, offset: offset as u64, len: (frame_len - FRAME_HEADER) as u32 };
+        if index.insert(key, loc).is_some() {
+            recovery.superseded += 1;
         }
         offset += frame_len;
     }
-}
-
-/// Decodes one frame at the head of `bytes`: `Some((payload, total
-/// frame length))` when the length is plausible, the bytes are all
-/// present, the checksum matches, and the payload is UTF-8.
-fn decode_frame(bytes: &[u8]) -> Option<(&str, usize)> {
-    if bytes.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD as usize || bytes.len() < FRAME_HEADER + len {
-        return None;
-    }
-    let checksum = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
-    let payload = &bytes[FRAME_HEADER..FRAME_HEADER + len];
-    if fnv1a(payload) != checksum {
-        return None;
-    }
-    std::str::from_utf8(payload).ok().map(|p| (p, FRAME_HEADER + len))
-}
-
-/// Re-reads one frame from disk and verifies it end to end.
-fn read_record(path: &Path, loc: Loc) -> std::io::Result<StoreRecord> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(loc.offset))?;
-    let mut frame = vec![0u8; FRAME_HEADER + loc.len as usize];
-    file.read_exact(&mut frame)?;
-    let (payload, _) = decode_frame(&frame)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt frame"))?;
-    serde_json::from_str(payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    (Some(file), true)
 }
 
 #[cfg(test)]
@@ -542,13 +596,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The single segment a fresh store wrote.
-    fn only_segment(dir: &Path) -> PathBuf {
+    /// The segment files of a store directory, oldest first.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
         let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
             .expect("store dir")
             .map(|e| e.expect("entry").path())
             .filter(|p| segment_number(p).is_some())
             .collect();
+        segs.sort();
+        segs
+    }
+
+    /// The single segment a fresh store wrote.
+    fn only_segment(dir: &Path) -> PathBuf {
+        let mut segs = segment_files(dir);
         assert_eq!(segs.len(), 1, "expected exactly one segment");
         segs.pop().expect("one segment")
     }
@@ -580,29 +641,38 @@ mod tests {
 
     #[test]
     fn a_bit_flipped_record_drops_it_and_the_suffix_but_keeps_the_prefix() {
-        let dir = temp_store_dir("bitflip");
-        {
-            let store = ResultStore::open(&dir).expect("store opens");
-            for rep in 0..4 {
-                store.append(1, 2, rep, &Err(format!("r{rep}")));
+        // Four equal-sized frames follow the magic. Flip one bit around
+        // 60% of the file, in the third frame's seed word, or in its
+        // payload: records before it must survive, the flipped one and
+        // everything after must go.
+        for tag in ["60pct", "key", "payload"] {
+            let dir = temp_store_dir(&format!("bitflip-{tag}"));
+            {
+                let store = ResultStore::open(&dir).expect("store opens");
+                for rep in 0..4 {
+                    store.append(1, 2, rep, &Err(format!("r{rep}")));
+                }
             }
-        }
-        let seg = only_segment(&dir);
-        let mut bytes = std::fs::read(&seg).expect("segment bytes");
-        // Flip one payload bit around 60% of the file: records before it
-        // must survive, the flipped one and everything after must go.
-        let hit = bytes.len() * 6 / 10;
-        bytes[hit] ^= 0x40;
-        std::fs::write(&seg, &bytes).expect("rewrite segment");
+            let seg = only_segment(&dir);
+            let mut bytes = std::fs::read(&seg).expect("segment bytes");
+            let third = MAGIC.len() + 2 * (bytes.len() - MAGIC.len()) / 4;
+            let at = match tag {
+                "60pct" => bytes.len() * 6 / 10,
+                "key" => third + CHECKED_FROM + 8 + 3,
+                _ => third + FRAME_HEADER + 5,
+            };
+            bytes[at] ^= 0x40;
+            std::fs::write(&seg, &bytes).expect("rewrite segment");
 
-        let store = ResultStore::open(&dir).expect("recovery never fails");
-        assert!(store.len() < 4, "the damaged record is gone");
-        assert!(!store.is_empty(), "the undamaged prefix survives");
-        assert_eq!(store.recovery().damaged_segments, 1);
-        for rep in 0..store.len() as u64 {
-            assert_eq!(stored_err(&store, 1, 2, rep), Some(format!("r{rep}")));
+            let store = ResultStore::open(&dir).expect("recovery never fails");
+            assert!(store.len() < 4, "{tag}: the damaged record is gone");
+            assert!(!store.is_empty(), "{tag}: the undamaged prefix survives");
+            assert_eq!(store.recovery().damaged_segments, 1, "{tag}");
+            for rep in 0..store.len() as u64 {
+                assert_eq!(stored_err(&store, 1, 2, rep), Some(format!("r{rep}")), "{tag}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -643,6 +713,105 @@ mod tests {
         let reopened = ResultStore::open(&dir).expect("store reopens");
         assert_eq!(reopened.len(), 100, "every interleaved record recovers");
         assert_eq!(stored_err(&reopened, 3, 0, 24), Some("3/24".into()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment of this format holding `frames`, as written bytes.
+    fn segment_of(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for frame in frames {
+            bytes.extend_from_slice(frame);
+        }
+        bytes
+    }
+
+    /// A checksum-valid frame whose payload is the record of `payload_key`.
+    fn record_frame(header_key: Key, payload_key: Key, cause: &str) -> Vec<u8> {
+        let record = StoreRecord::from_result(payload_key, &Err(cause.into()));
+        encode_frame(header_key, serde_json::to_string(&record).expect("encodes").as_bytes())
+    }
+
+    #[test]
+    fn a_payload_that_is_not_its_frames_record_is_a_miss_and_keeps_the_suffix() {
+        let dir = temp_store_dir("bad-payload");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let bytes = segment_of(&[
+            record_frame((1, 2, 0), (1, 2, 0), "r0"),
+            encode_frame((1, 2, 1), b"{\"not\":\"a record\"}"),
+            record_frame((1, 2, 2), (1, 2, 2), "r2"),
+            record_frame((1, 2, 3), (9, 9, 9), "someone else's"),
+            record_frame((1, 2, 4), (1, 2, 4), "r4"),
+        ]);
+        std::fs::write(dir.join("store-000000.seg"), &bytes).expect("segment");
+
+        let store = ResultStore::open(&dir).expect("recovery never fails");
+        assert_eq!(store.recovery().damaged_segments, 0, "every frame's checksum holds");
+        assert_eq!(store.recovery().live, 5);
+        for rep in [0, 2, 4] {
+            assert_eq!(stored_err(&store, 1, 2, rep), Some(format!("r{rep}")));
+        }
+        assert!(store.get(1, 2, 1).is_none(), "an unparseable payload is a miss");
+        assert!(store.get(1, 2, 3).is_none(), "a payload of another key is a miss");
+        assert!(store.get(9, 9, 9).is_none(), "only header keys are indexed");
+
+        // A re-executed replication supersedes the bad frame.
+        store.append(1, 2, 1, &Err("recomputed".into()));
+        assert_eq!(stored_err(&store, 1, 2, 1), Some("recomputed".into()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_of_the_previous_format_is_ignored_and_compacted_away() {
+        let dir = temp_store_dir("old-magic");
+        std::fs::create_dir_all(&dir).expect("dir");
+        // `COALSTO1` framing: [u32 len][u64 FNV-1a(payload)][payload].
+        let record = StoreRecord::from_result((1, 2, 0), &Err("v1".into()));
+        let payload = serde_json::to_string(&record).expect("encodes");
+        let mut old = b"COALSTO1".to_vec();
+        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        old.extend_from_slice(&fnv1a(payload.as_bytes()).to_le_bytes());
+        old.extend_from_slice(payload.as_bytes());
+        let old_path = dir.join("store-000000.seg");
+        std::fs::write(&old_path, &old).expect("old segment");
+
+        let store = ResultStore::open(&dir).expect("recovery never fails");
+        assert_eq!(store.recovery().damaged_segments, 1);
+        assert!(store.is_empty());
+        assert!(store.get(1, 2, 0).is_none(), "an old record is recomputed, not read");
+        store.append(1, 2, 0, &Err("v2".into()));
+        assert_eq!(segment_files(&dir).len(), 2, "the append opened a fresh segment");
+        assert_eq!(std::fs::read(&old_path).expect("old segment stays"), old);
+
+        store.compact().expect("compaction succeeds");
+        let remaining = only_segment(&dir);
+        assert!(!old_path.exists(), "compaction deletes the old-format segment");
+        assert_eq!(&std::fs::read(&remaining).expect("segment")[..MAGIC.len()], MAGIC);
+        drop(store);
+        let reopened = ResultStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.recovery().damaged_segments, 0);
+        assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v2".into()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_writer_that_loses_the_segment_number_race_takes_the_next_one() {
+        let dir = temp_store_dir("race");
+        let first = ResultStore::open(&dir).expect("store opens");
+        let second = ResultStore::open(&dir).expect("store opens again");
+        // Both stores would claim segment 0; the second gets it.
+        second.append(2, 0, 0, &Err("second".into()));
+        first.append(1, 0, 0, &Err("first".into()));
+        assert_eq!(stored_err(&first, 1, 0, 0), Some("first".into()));
+        // The second store's next number is the first store's segment
+        // now: compaction claims its target the same way, so it never
+        // renames over a segment a peer is writing.
+        second.compact().expect("compaction succeeds");
+        drop((first, second));
+
+        let reopened = ResultStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.recovery().damaged_segments, 0);
+        assert_eq!(stored_err(&reopened, 1, 0, 0), Some("first".into()));
+        assert_eq!(stored_err(&reopened, 2, 0, 0), Some("second".into()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
