@@ -1,5 +1,6 @@
 //! The workspace-wide typed error: everything the CLI, trace loading
-//! and checkpoint I/O can report instead of panicking.
+//! and checkpoint I/O can report instead of panicking, and the
+//! [`ConfigError`] a configuration's validation returns.
 //!
 //! Hand-rolled in the `thiserror` style (the workspace vendors its
 //! dependencies): an enum per failure class, a human-readable
@@ -43,6 +44,8 @@ pub enum CoallocError {
     },
     /// The system geometry was rejected.
     System(SystemSpecError),
+    /// A simulation or sweep configuration no run can execute.
+    Config(ConfigError),
     /// An I/O operation failed.
     Io {
         /// What was being done (e.g. `writing checkpoint /tmp/x.json`).
@@ -91,6 +94,7 @@ impl core::fmt::Display for CoallocError {
                 write!(f, "bad fault spec `{spec}`: {detail}")
             }
             CoallocError::System(e) => write!(f, "bad system: {e}"),
+            CoallocError::Config(e) => write!(f, "invalid {}: {e}", e.field),
             CoallocError::Io { context, source } => {
                 write!(f, "{context}: {source}")
             }
@@ -106,6 +110,7 @@ impl std::error::Error for CoallocError {
         match self {
             CoallocError::Io { source, .. } => Some(source),
             CoallocError::System(e) => Some(e),
+            CoallocError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -114,6 +119,55 @@ impl std::error::Error for CoallocError {
 impl From<SystemSpecError> for CoallocError {
     fn from(e: SystemSpecError) -> Self {
         CoallocError::System(e)
+    }
+}
+
+/// Why a configuration cannot run: the field at fault and the rule it
+/// breaks. `SimConfig::validate` and `SweepConfig::validate` return it;
+/// the engine's entry points panic with its [`Display`](core::fmt::Display)
+/// text (the message alone), and front ends report it as
+/// [`CoallocError::Config`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The configuration field at fault (e.g. `warmup_jobs`).
+    pub field: &'static str,
+    /// The rule the field breaks.
+    pub message: String,
+}
+
+impl ConfigError {
+    /// An error naming `field` and the rule it breaks.
+    pub(crate) fn new(field: &'static str, message: impl Into<String>) -> Self {
+        ConfigError { field, message: message.into() }
+    }
+}
+
+/// `Ok` when `holds`; otherwise the [`ConfigError`] naming `field`, with
+/// its message rendered only then (pass `format_args!` for a formatted
+/// one).
+pub(crate) fn ensure(
+    holds: bool,
+    field: &'static str,
+    message: impl core::fmt::Display,
+) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(ConfigError::new(field, message.to_string()))
+    }
+}
+
+impl core::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for CoallocError {
+    fn from(e: ConfigError) -> Self {
+        CoallocError::Config(e)
     }
 }
 

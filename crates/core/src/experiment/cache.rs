@@ -11,8 +11,8 @@
 //! bit-identically, instead of re-simulating.
 //!
 //! Concurrent requests share in-flight work too: [`ScenarioCache::claim`]
-//! reserves a key so only one requester executes it, and peers
-//! [`ScenarioCache::wait`] for the stored result. The deadlock-free
+//! reserves a key so only one requester executes it, and peers wait for
+//! the stored result ([`ScenarioCache::wait_cancellable`]). The deadlock-free
 //! protocol is *claim everything without blocking, execute and fulfil
 //! your own reservations, only then wait on other people's* — every
 //! waiter is past its own stores, so every pending key has an owner that
@@ -135,8 +135,8 @@ pub enum Claim<'a> {
     /// Nobody has it: the key is now reserved for this caller, who must
     /// [`Reservation::fulfil`] it (dropping the reservation un-reserves).
     Reserved(Reservation<'a>),
-    /// Another requester reserved it; [`ScenarioCache::wait`] after
-    /// fulfilling your own reservations.
+    /// Another requester reserved it; [`ScenarioCache::wait_cancellable`]
+    /// after fulfilling your own reservations.
     Busy,
 }
 
@@ -201,7 +201,8 @@ impl ScenarioCache {
     }
 
     /// Claims one replication without blocking; counts a hit or a miss
-    /// (a [`Claim::Busy`] counts on the eventual [`Self::wait`] instead).
+    /// (a [`Claim::Busy`] counts on the eventual
+    /// [`Self::wait_cancellable`] instead).
     /// A memory miss consults the backing store before reserving: a
     /// stored result is rehydrated into memory and returned as a disk
     /// hit.
@@ -234,25 +235,15 @@ impl ScenarioCache {
         }
     }
 
-    /// Blocks until a [`Claim::Busy`] key resolves. `Some` (counted as a
-    /// hit) is the peer's result; `None` means the peer abandoned its
-    /// reservation — re-[`claim`](Self::claim) and execute it yourself.
-    /// Only call after fulfilling your own reservations.
-    pub fn wait(
-        &self,
-        point_digest: u64,
-        base_seed: u64,
-        rep: u64,
-    ) -> Option<Result<SimOutcome, String>> {
-        self.wait_cancellable(point_digest, base_seed, rep, None)
-            .expect("waits without a token never cancel")
-    }
-
-    /// [`Self::wait`] with a cancellation token: returns
-    /// `Err(CancelReason)` as soon as the token fires (checked every few
-    /// tens of milliseconds), leaving the key to its owner. The waiter
-    /// holds no reservation here, so abandoning the wait frees nothing
-    /// and blocks nobody.
+    /// Blocks until a [`Claim::Busy`] key resolves. `Ok(Some)` (counted
+    /// as a hit) is the peer's result; `Ok(None)` means the peer
+    /// abandoned its reservation — re-[`claim`](Self::claim) and execute
+    /// it yourself. Only call after fulfilling your own reservations.
+    ///
+    /// With a token, returns `Err(CancelReason)` as soon as it fires
+    /// (checked every few tens of milliseconds), leaving the key to its
+    /// owner. The waiter holds no reservation here, so abandoning the
+    /// wait frees nothing and blocks nobody.
     pub fn wait_cancellable(
         &self,
         point_digest: u64,
@@ -289,38 +280,6 @@ impl ScenarioCache {
                     };
                 }
                 None => return Ok(None),
-            }
-        }
-    }
-
-    /// The memoized result for a replication, if any; counts a hit or a
-    /// miss either way. Never blocks and never reserves — the read-only
-    /// sibling of [`Self::claim`] (the disk store is still consulted on
-    /// a memory miss).
-    pub fn lookup(
-        &self,
-        point_digest: u64,
-        base_seed: u64,
-        rep: u64,
-    ) -> Option<Result<SimOutcome, String>> {
-        let mut inner = relock(&self.inner);
-        match inner.map.get(&(point_digest, base_seed, rep)) {
-            Some(Entry::Done { result, .. }) => {
-                let result = result.as_ref().clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            _ => {
-                if let Some(store) = &self.disk {
-                    if let Some(result) = store.get(point_digest, base_seed, rep) {
-                        inner.insert_done((point_digest, base_seed, rep), result.clone(), self.cap);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(result);
-                    }
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
         }
     }
@@ -381,9 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_hits_and_misses_and_returns_stored_results() {
+    fn claim_counts_hits_and_misses_and_returns_stored_results() {
         let cache = ScenarioCache::new();
-        assert!(cache.lookup(1, 2, 0).is_none());
+        assert!(matches!(cache.claim(1, 2, 0), Claim::Reserved(_)));
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
         let mut cfg = SimConfig::das(PolicyKind::Gs, 16, 0.3);
@@ -393,12 +352,17 @@ mod tests {
         cache.store(1, 2, 0, outcome.clone());
         assert_eq!(cache.entries(), 1);
 
-        let back = cache.lookup(1, 2, 0).expect("stored entry");
+        let Claim::Hit { result, disk: false } = cache.claim(1, 2, 0) else {
+            panic!("stored entry is a memory hit");
+        };
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(back.unwrap().metrics.mean_response, outcome.unwrap().metrics.mean_response);
+        assert_eq!(result.unwrap().metrics.mean_response, outcome.unwrap().metrics.mean_response);
 
         cache.store(1, 2, 1, Err("poisoned".into()));
-        assert!(cache.lookup(1, 2, 1).expect("failure memoized").is_err());
+        let Claim::Hit { result, .. } = cache.claim(1, 2, 1) else {
+            panic!("failure memoized");
+        };
+        assert!(result.is_err());
     }
 
     #[test]
@@ -412,10 +376,10 @@ mod tests {
 
         let waiter = {
             let cache = std::sync::Arc::clone(&cache);
-            std::thread::spawn(move || cache.wait(7, 7, 0))
+            std::thread::spawn(move || cache.wait_cancellable(7, 7, 0, None))
         };
         res.fulfil(Err("done".into()));
-        let got = waiter.join().expect("waiter").expect("fulfilled");
+        let got = waiter.join().expect("waiter").expect("no token").expect("fulfilled");
         assert_eq!(got.unwrap_err(), "done");
         assert!(matches!(cache.claim(7, 7, 0), Claim::Hit { .. }));
     }
@@ -429,10 +393,11 @@ mod tests {
         };
         let waiter = {
             let cache = std::sync::Arc::clone(&cache);
-            std::thread::spawn(move || cache.wait(9, 9, 3))
+            std::thread::spawn(move || cache.wait_cancellable(9, 9, 3, None))
         };
         drop(res);
-        assert!(waiter.join().expect("waiter").is_none(), "abandonment reported");
+        let got = waiter.join().expect("waiter").expect("no token");
+        assert!(got.is_none(), "abandonment reported");
         assert!(matches!(cache.claim(9, 9, 3), Claim::Reserved(_)), "key is free again");
     }
 

@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use desim::stopping::StoppingRule;
 
+use crate::error::{ensure, ConfigError};
 use crate::sim::SimConfig;
 
 /// Configuration of a sweep over target gross utilizations.
@@ -93,17 +94,39 @@ impl SweepConfig {
         }
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(!self.utilizations.is_empty(), "sweep needs at least one utilization");
-        assert!(self.min_replications > 0, "sweep needs at least one replication");
-        assert!(
+    /// Checks the grid and the replication bounds: at least one
+    /// utilization, each positive and finite; at least one replication,
+    /// a cap no lower than the minimum; and a positive, finite
+    /// relative-CI target. [`super::sweep_on`] panics with the returned
+    /// error's message; front ends call this first and report it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure(
+            !self.utilizations.is_empty(),
+            "utilizations",
+            "sweep needs at least one utilization",
+        )?;
+        for &u in &self.utilizations {
+            ensure(
+                u > 0.0 && u.is_finite(),
+                "utilizations",
+                format_args!("target utilizations must be positive and finite, got {u}"),
+            )?;
+        }
+        ensure(
+            self.min_replications > 0,
+            "min_replications",
+            "sweep needs at least one replication",
+        )?;
+        ensure(
             self.max_replications >= self.min_replications,
-            "replication cap below the minimum"
-        );
-        assert!(
+            "max_replications",
+            "replication cap below the minimum",
+        )?;
+        ensure(
             self.rel_ci_target > 0.0 && self.rel_ci_target.is_finite(),
-            "relative-CI target must be positive and finite"
-        );
+            "rel_ci_target",
+            "relative-CI target must be positive and finite",
+        )
     }
 
     pub(crate) fn rule(&self) -> StoppingRule {

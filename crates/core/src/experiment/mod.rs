@@ -162,7 +162,7 @@ where
     F: Fn(f64) -> SimConfig,
     R: FnMut(&RoundReport),
 {
-    sweep_cfg.validate();
+    sweep_cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     // One template per point; replications clone it and swap the seed.
     // The digests fingerprint the whole scenario (seed normalized out).
     let templates: Vec<SimConfig> = sweep_cfg.utilizations.iter().map(|&u| make_cfg(u)).collect();

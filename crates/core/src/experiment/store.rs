@@ -55,7 +55,9 @@
 //! frame, checksum re-verified, into one fresh segment (unique temp
 //! file, `sync_all`, atomic rename, directory sync) and deletes the old
 //! segments, so a long-lived daemon's disk footprint tracks its live
-//! entries.
+//! entries. A writer holds a file lock on its segment while it appends,
+//! and compaction keeps a locked segment, so a peer process still
+//! appending to the same directory loses nothing.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -321,9 +323,10 @@ impl ResultStore {
 
     /// Copies every live frame, its checksum re-verified, into one
     /// fresh segment (temp file + atomic rename) and deletes the old
-    /// segments. Safe at any time: a crash mid-compaction leaves either
-    /// the old segments or the new one plus harmless duplicates, both of
-    /// which recover fully.
+    /// segments, except one a peer store is still appending to (its
+    /// writer holds the file lock). Safe at any time: a crash
+    /// mid-compaction leaves either the old segments or the new one plus
+    /// harmless duplicates, both of which recover fully.
     pub fn compact(&self) -> std::io::Result<()> {
         let mut inner = relock(&self.inner);
         inner.writer = None; // closes the active segment
@@ -369,8 +372,12 @@ impl ResultStore {
         inner.dead = 0;
         drop(inner);
         for seg in old {
-            drop(seg.reader);
-            let _ = std::fs::remove_file(seg.path);
+            // A peer still appending holds its segment's lock: its later
+            // records are in no index here, so the segment stays (the
+            // frames copied from it are harmless duplicates).
+            if seg.reader.as_ref().is_none_or(|f| f.try_lock().is_ok()) {
+                let _ = std::fs::remove_file(&seg.path);
+            }
         }
         Ok(())
     }
@@ -380,6 +387,9 @@ impl StoreInner {
     fn append_frame(&mut self, dir: &Path, key: Key, frame: &[u8]) -> std::io::Result<()> {
         if self.writer.is_none() {
             let (path, mut file) = claim_segment(dir, &mut self.next_segment)?;
+            // Held while this store appends: a peer's compaction keeps a
+            // locked segment instead of deleting it.
+            file.lock()?;
             let reader = File::open(&path)?;
             file.write_all(MAGIC)?;
             self.segments.push(Segment { path, reader: Some(reader) });
@@ -790,6 +800,27 @@ mod tests {
         let reopened = ResultStore::open(&dir).expect("store reopens");
         assert_eq!(reopened.recovery().damaged_segments, 0);
         assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v2".into()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_keeps_a_segment_a_peer_is_still_appending_to() {
+        let dir = temp_store_dir("peer-compact");
+        let a = ResultStore::open(&dir).expect("store opens");
+        a.append(1, 0, 0, &Err("a before b opened".into()));
+        let b = ResultStore::open(&dir).expect("store opens again");
+        a.append(1, 0, 1, &Err("a after b opened".into()));
+        b.append(2, 0, 0, &Err("b".into()));
+        b.compact().expect("compaction succeeds");
+        a.append(1, 0, 2, &Err("a after b compacted".into()));
+        drop((a, b));
+
+        let reopened = ResultStore::open(&dir).expect("store reopens");
+        let found: Vec<bool> = [(1, 0, 0), (1, 0, 1), (2, 0, 0), (1, 0, 2)]
+            .iter()
+            .map(|&(digest, seed, rep)| stored_err(&reopened, digest, seed, rep).is_some())
+            .collect();
+        assert_eq!(found, [true; 4], "every record of both stores survives");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,7 +44,7 @@ pub use audit::{
     PlacementDecision, PlacementScope, Resize, SimObserver, Tee, Violation, ViolationKind,
 };
 pub use cluster::Cluster;
-pub use error::CoallocError;
+pub use error::{CoallocError, ConfigError};
 pub use experiment::{
     compare, compare_sweeps, point_digest, replication_seed, sweep, sweep_digest, sweep_on,
     sweep_on_cancellable, CancelReason, CancelToken, FailedReplication, RecoveryReport,

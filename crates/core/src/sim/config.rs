@@ -4,6 +4,7 @@
 use coalloc_workload::{JobDisposition, QueueRouting, Workload};
 
 use super::network::NetworkSpec;
+use crate::error::{ensure, ConfigError};
 use crate::fault::{FaultSpec, InterruptPolicy, ResizePolicy};
 use crate::placement::PlacementRule;
 use crate::policy::PolicyKind;
@@ -234,20 +235,28 @@ impl SimConfig {
         self.system.offered_gross_utilization(&self.workload, self.arrival_rate)
     }
 
-    pub(crate) fn validate(&self) {
-        if let Err(e) = self.system.validate() {
-            panic!("{e}");
-        }
-        assert!(self.arrival_rate > 0.0, "arrival rate must be positive");
-        assert!(self.arrival_cv2 >= 1.0, "interarrival CV^2 must be >= 1");
-        assert!(self.total_jobs > 0, "need at least one job");
-        assert!(self.warmup_jobs < self.total_jobs, "warm-up must leave jobs to measure");
+    /// Checks the rules every run of this configuration needs: a valid
+    /// system, a positive arrival rate, a warm-up that leaves jobs to
+    /// measure, job sizes that can start, and in-range faults, estimate
+    /// factor and network. The engine's entry points panic with the
+    /// returned error's message; front ends call this before a run and
+    /// report the error instead.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.system.validate().map_err(|e| ConfigError::new("system", e.to_string()))?;
+        ensure(self.arrival_rate > 0.0, "arrival_rate", "arrival rate must be positive")?;
+        ensure(self.arrival_cv2 >= 1.0, "arrival_cv2", "interarrival CV^2 must be >= 1")?;
+        ensure(self.total_jobs > 0, "total_jobs", "need at least one job")?;
+        ensure(
+            self.warmup_jobs < self.total_jobs,
+            "warmup_jobs",
+            "warm-up must leave jobs to measure",
+        )?;
         if self.policy.has_local_queues() {
-            assert_eq!(
-                self.routing.queues(),
-                self.system.num_clusters(),
-                "routing must have one weight per cluster"
-            );
+            ensure(
+                self.routing.queues() == self.system.num_clusters(),
+                "routing",
+                "routing must have one weight per cluster",
+            )?;
             // Single-component jobs are confined to the cluster of their
             // local queue (LS/LP, §2.5) — except ordered requests, which
             // name their clusters themselves. Such a job routed to a
@@ -265,41 +274,44 @@ impl SimConfig {
                     .filter(|&s| !self.workload.is_multi(s))
                     .max();
                 if let Some(m) = max_single {
-                    assert!(
+                    ensure(
                         m <= min_cap,
-                        "single-component jobs of size {m} can never start: they are \
-                         confined to their local cluster and the smallest cluster has \
-                         only {min_cap} processors"
-                    );
+                        "system",
+                        format_args!(
+                            "single-component jobs of size {m} can never start: they are \
+                             confined to their local cluster and the smallest cluster has \
+                             only {min_cap} processors"
+                        ),
+                    )?;
                 }
                 // Even when the sampled sizes happen to dodge it, a
                 // component-size limit above the smallest cluster is a
                 // misconfiguration under local queues.
-                if let Err(e) = self.system.validate_limit(self.workload.limit) {
-                    panic!("{e}");
-                }
+                self.system
+                    .validate_limit(self.workload.limit)
+                    .map_err(|e| ConfigError::new("limit", e.to_string()))?;
             }
         }
         let max_size = self.workload.sizes.max_size();
-        assert!(
+        ensure(
             max_size <= self.capacity(),
-            "jobs of size {max_size} can never fit in {} processors",
-            self.capacity()
-        );
+            "system",
+            format_args!("jobs of size {max_size} can never fit in {} processors", self.capacity()),
+        )?;
         if let Some(spec) = &self.faults {
-            if let Err(e) = spec.validate_for(&self.system) {
-                panic!("bad fault spec: {e}");
-            }
+            spec.validate_for(&self.system)
+                .map_err(|e| ConfigError::new("faults", format!("bad fault spec: {e}")))?;
         }
         // Infinity is a legal factor (it turns both backfilling
         // disciplines into FCFS); NaN and non-positive values are not.
-        assert!(
+        ensure(
             self.estimate_factor > 0.0,
-            "estimate factor must be positive, got {}",
-            self.estimate_factor
-        );
-        if let Some(net) = &self.network {
-            net.validate();
+            "estimate_factor",
+            format_args!("estimate factor must be positive, got {}", self.estimate_factor),
+        )?;
+        match &self.network {
+            Some(net) => net.validate(),
+            None => Ok(()),
         }
     }
 }
@@ -332,24 +344,31 @@ mod tests {
         SimBuilder::new(&cfg).run();
     }
 
+    /// The rule `cfg` breaks: the field at fault and the message.
+    fn rejection(cfg: &SimConfig) -> (&'static str, String) {
+        let e = cfg.validate().expect_err("the config is invalid");
+        (e.field, e.to_string())
+    }
+
     #[test]
-    #[should_panic(expected = "at least one cluster")]
     fn empty_capacity_list_rejected() {
         let mut cfg = quick(PolicyKind::Gs, 16, 0.4);
         cfg.system = SystemSpec::new(Vec::new());
-        cfg.validate();
+        let (field, message) = rejection(&cfg);
+        assert_eq!(field, "system");
+        assert!(message.contains("at least one cluster"), "{message}");
     }
 
     #[test]
-    #[should_panic(expected = "zero capacity")]
     fn zero_capacity_cluster_rejected() {
         let mut cfg = quick(PolicyKind::Gs, 16, 0.4);
         cfg.system = SystemSpec::new([32, 0, 32, 64]);
-        cfg.validate();
+        let (field, message) = rejection(&cfg);
+        assert_eq!(field, "system");
+        assert!(message.contains("zero capacity"), "{message}");
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the smallest cluster")]
     fn limit_exceeding_smallest_cluster_rejected_under_local_queues() {
         // Sizes that dodge the single-component check (all ≤ 8 or
         // multi-component) still leave the limit itself invalid.
@@ -359,7 +378,9 @@ mod tests {
         cfg.arrival_rate = cfg.workload.rate_for_gross_utilization(0.4, 128);
         cfg.system = SystemSpec::new([8, 40, 40, 40]);
         cfg.routing = QueueRouting::balanced(4);
-        cfg.validate();
+        let (field, message) = rejection(&cfg);
+        assert_eq!(field, "limit");
+        assert!(message.contains("exceeds the smallest cluster"), "{message}");
     }
 
     #[test]
@@ -369,15 +390,15 @@ mod tests {
         assert_eq!(cfg.routing.queues(), 5);
         assert!((cfg.routing.shares()[0] - 0.36).abs() < 1e-12, "proportional routing");
         assert!((cfg.offered_gross_utilization() - 0.5).abs() < 1e-9);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         // An 8-cluster homogeneous variant threads through as well.
         let cfg = SimConfig::heterogeneous(PolicyKind::Gs, 16, 0.4, SystemSpec::homogeneous(8, 32));
         assert_eq!(cfg.workload.clusters, 8);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         // SC pools everything into one big cluster.
         let sc = SimConfig::heterogeneous(PolicyKind::Sc, 16, 0.4, SystemSpec::das2());
         assert_eq!(sc.system.num_clusters(), 1);
         assert_eq!(sc.capacity(), 200);
-        sc.validate();
+        assert_eq!(sc.validate(), Ok(()));
     }
 }

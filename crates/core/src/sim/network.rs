@@ -19,6 +19,8 @@
 
 use std::str::FromStr;
 
+use crate::error::{ensure, ConfigError};
+
 /// How inter-cluster bandwidth is laid out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetworkTopology {
@@ -68,13 +70,13 @@ impl NetworkSpec {
         self.capacity.is_infinite()
     }
 
-    /// Panics on a spec no simulation should run with.
-    pub(crate) fn validate(&self) {
-        assert!(
+    /// Rejects a spec no simulation should run with.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        ensure(
             self.capacity > 0.0,
-            "network capacity must be positive (may be `inf`), got {}",
-            self.capacity
-        );
+            "network",
+            format_args!("network capacity must be positive (may be `inf`), got {}", self.capacity),
+        )
     }
 
     /// Max-min fair shares, one per flow, given each flow's cluster

@@ -169,7 +169,7 @@ impl<'a> SimBuilder<'a> {
     /// [`crate::audit`]). Observers are passive: the outcome is
     /// bit-identical to the unobserved run's.
     pub fn run_observed<O: SimObserver>(self, obs: &mut O) -> SimOutcome {
-        self.cfg.validate();
+        self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         if self.cfg.warmup == Warmup::Auto {
             let resolved = resolve_auto_warmup(self.cfg, |pilot| SimBuilder::new(pilot).run());
             let rebuilt =
@@ -210,7 +210,7 @@ impl<'a> SimBuilder<'a> {
         // is sized by what will actually be replayed, not the raw log
         // length.
         cfg.total_jobs = feed.len() as u64;
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         if cfg.warmup == Warmup::Auto {
             // The pilot replays the same trace (replay is deterministic),
             // so MSER judges exactly the series the measured run will
@@ -244,7 +244,7 @@ impl<'a> SimBuilder<'a> {
         offered: f64,
         obs: &mut O,
     ) -> SimOutcome {
-        self.cfg.validate();
+        self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         if let Some(mut policy) = self.scheduler {
             return Session::new(self.cfg, feed, policy.as_mut(), obs, offered, self.model).run();
         }
@@ -381,7 +381,7 @@ where
         offered: f64,
         model: OccupancyModel,
     ) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Session { cfg, feed, scheduler, observer, offered, model }
     }
 

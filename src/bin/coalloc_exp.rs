@@ -14,13 +14,14 @@
 //! ```
 //!
 //! Argument errors never panic: every parser returns a
-//! [`CoallocError`], `main` prints `error: <what>` on stderr and exits
-//! with status 2 (status 1 is reserved for failed contract checks such
-//! as `--audit` and `--assert-precision`).
+//! [`CoallocError`], every configuration is validated before it runs,
+//! and `main` prints `error: <what>` on stderr and exits with status 2
+//! (status 1 is reserved for failed contract checks such as `--audit`
+//! and `--assert-precision`).
 
 use std::process::ExitCode;
 
-use coalloc::core::{CoallocError, FaultSpec, InterruptPolicy};
+use coalloc::core::CoallocError;
 use coalloc::experiments::{self, Scale};
 
 fn usage() -> ExitCode {
@@ -86,161 +87,10 @@ fn parse_flag<T: std::str::FromStr>(
         .transpose()
 }
 
-/// Parses a positional policy name (`GS`/`LS`/`LP`/`SC`/`GB`).
-fn parse_policy(arg: Option<&str>) -> Result<coalloc::core::PolicyKind, CoallocError> {
-    use coalloc::core::PolicyKind;
-    match arg {
-        Some("GS") => Ok(PolicyKind::Gs),
-        Some("LS") => Ok(PolicyKind::Ls),
-        Some("LP") => Ok(PolicyKind::Lp),
-        Some("SC") => Ok(PolicyKind::Sc),
-        Some("GB") => Ok(PolicyKind::Gb),
-        other => Err(CoallocError::UnknownTarget {
-            name: other.unwrap_or("<missing>").to_string(),
-            what: "policy".to_string(),
-        }),
-    }
-}
-
-/// Parses `--capacities a,b,c` into a heterogeneous `SystemSpec`
-/// (processors per cluster); `None` means the DAS default geometry.
-fn parse_capacities(args: &[String]) -> Result<Option<coalloc::core::SystemSpec>, CoallocError> {
-    flag_value(args, "--capacities")?
-        .map(|spec| {
-            spec.parse().map_err(|_| {
-                CoallocError::invalid("--capacities", spec, "comma-separated processor counts")
-            })
-        })
-        .transpose()
-}
-
-/// Parses `--faults <spec>` (`exp:MTTF:MTTR` or a scripted
-/// `down:T:K[:R],up:T:K,...` list) without yet checking it against a
-/// concrete system — callers validate once the geometry is known.
-fn parse_faults(args: &[String]) -> Result<Option<FaultSpec>, CoallocError> {
-    flag_value(args, "--faults")?
-        .map(|s| {
-            FaultSpec::parse(s)
-                .map_err(|detail| CoallocError::FaultSpec { spec: s.to_string(), detail })
-        })
-        .transpose()
-}
-
-/// Parses `--interrupt front|back|abort` into the requeue policy for
-/// fault victims.
-fn parse_interrupt(args: &[String]) -> Result<Option<InterruptPolicy>, CoallocError> {
-    flag_value(args, "--interrupt")?
-        .map(|s| {
-            InterruptPolicy::parse(s)
-                .map_err(|_| CoallocError::invalid("--interrupt", s, "front|back|abort"))
-        })
-        .transpose()
-}
-
-/// Parses `--disposition rigid|moldable|malleable`.
-fn parse_disposition(
-    args: &[String],
-) -> Result<Option<coalloc::workload::JobDisposition>, CoallocError> {
-    flag_value(args, "--disposition")?
-        .map(|s| {
-            coalloc::workload::JobDisposition::parse(s).ok_or_else(|| {
-                CoallocError::invalid("--disposition", s, "rigid|moldable|malleable")
-            })
-        })
-        .transpose()
-}
-
-/// Parses `--queue-discipline fcfs|easy|conservative`.
-fn parse_discipline(
-    args: &[String],
-) -> Result<Option<coalloc::core::QueueDiscipline>, CoallocError> {
-    flag_value(args, "--queue-discipline")?
-        .map(|s| {
-            coalloc::core::QueueDiscipline::parse(s).ok_or_else(|| {
-                CoallocError::invalid("--queue-discipline", s, "fcfs|easy|conservative")
-            })
-        })
-        .transpose()
-}
-
-/// Parses `--network <bandwidth>[:backbone|:pairwise]` into a
-/// finite-bandwidth wide-area fabric; `inf` bandwidth (or an absent
-/// flag) leaves the run uncontended.
-fn parse_network(args: &[String]) -> Result<Option<coalloc::core::NetworkSpec>, CoallocError> {
-    parse_flag(args, "--network", "<bandwidth>[:backbone|:pairwise]")
-}
-
-/// Parses `--estimate-factor X` (a positive multiplier; `inf` turns
-/// both backfilling disciplines back into FCFS).
-fn parse_estimate_factor(args: &[String]) -> Result<Option<f64>, CoallocError> {
-    match parse_flag::<f64>(args, "--estimate-factor", "a positive multiplier (or `inf`)")? {
-        Some(v) if v.is_nan() || v <= 0.0 => Err(CoallocError::invalid(
-            "--estimate-factor",
-            &format!("{v}"),
-            "a positive multiplier",
-        )),
-        other => Ok(other),
-    }
-}
-
-/// Applies the disposition/discipline/estimate flags to a config.
-fn apply_scheduling_flags(
-    cfg: &mut coalloc::core::SimConfig,
-    disposition: Option<coalloc::workload::JobDisposition>,
-    discipline: Option<coalloc::core::QueueDiscipline>,
-    estimate_factor: Option<f64>,
-) {
-    if let Some(d) = disposition {
-        cfg.disposition = d;
-    }
-    if let Some(d) = discipline {
-        cfg.discipline = d;
-    }
-    if let Some(f) = estimate_factor {
-        cfg.estimate_factor = f;
-    }
-}
-
-/// Checks a fault spec against the system it will actually run on;
-/// `SimConfig::validate` would panic later, this reports a typed error
-/// up front instead.
-fn check_faults(
-    faults: &Option<FaultSpec>,
-    args: &[String],
-    system: &coalloc::core::SystemSpec,
-) -> Result<(), CoallocError> {
-    if let Some(spec) = faults {
-        if let Err(detail) = spec.validate_for(system) {
-            let raw = flag_value(args, "--faults")?.unwrap_or_default().to_string();
-            return Err(CoallocError::FaultSpec { spec: raw, detail });
-        }
-    }
-    Ok(())
-}
-
-/// Applies `--warmup auto|N` to a simulation configuration.
-fn apply_warmup(
-    cfg: &mut coalloc::core::SimConfig,
-    spec: Option<&str>,
-) -> Result<(), CoallocError> {
-    use coalloc::core::Warmup;
-    match spec {
-        None => {}
-        Some("auto") => cfg.warmup = Warmup::Auto,
-        Some(n) => {
-            cfg.warmup_jobs = n
-                .parse()
-                .map_err(|_| CoallocError::invalid("--warmup", n, "`auto` or a job count"))?;
-            cfg.warmup = Warmup::Fixed;
-        }
-    }
-    Ok(())
-}
-
-/// Parses the shared scenario axes of a sweep-like command line
-/// (`<policy> <limit>` positionals plus the scenario flags) into the
-/// [`coalloc::scenario::ScenarioSpec`] both the CLI and `serve` build
-/// configurations from.
+/// Parses the shared scenario axes of a `runjson` or `sweep` command
+/// line (`<policy> <limit>` positionals plus the scenario flags) into
+/// the validated [`coalloc::scenario::ScenarioSpec`] both the CLI and
+/// `serve` build configurations from.
 fn scenario_spec(
     args: &[String],
     scale: Scale,
@@ -260,7 +110,7 @@ fn scenario_spec(
         flag_value(args, "--interrupt")?,
         flag_value(args, "--disposition")?,
         flag_value(args, "--queue-discipline")?,
-        parse_estimate_factor(args)?,
+        parse_flag(args, "--estimate-factor", "a positive multiplier (or `inf`)")?,
         flag_value(args, "--network")?,
         flag_value(args, "--warmup")?,
         parse_flag(args, "--inject-panic", "a utilization")?,
@@ -333,6 +183,7 @@ fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
     }
     cfg.checkpoint = flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from);
     cfg.audit = args.iter().any(|a| a == "--audit");
+    cfg.validate()?;
     let store_dir = flag_value(args, "--store")?.map(std::path::PathBuf::from);
     let cache_cap: Option<usize> = parse_flag(args, "--cache-cap", "an entry count")?;
     let points = if store_dir.is_some() || cache_cap.is_some() {
@@ -416,49 +267,25 @@ fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs one simulation and prints the full outcome as JSON. `--events
-/// <path>` additionally writes the structured decision-event log (one
-/// JSON object per line); `--audit` attaches the invariant auditor and
-/// exits nonzero if the run broke any of the paper's rules; `--faults`
-/// and `--interrupt` inject cluster failures.
+/// Runs one simulation of the config a sweep with the same flags
+/// replicates (batch size included; the seed is the config's default)
+/// and prints the full outcome as JSON. `--events <path>` additionally writes the structured
+/// decision-event log (one JSON object per line); `--audit` attaches the
+/// invariant auditor and exits nonzero if the run broke any of the
+/// paper's rules; `--faults` and `--interrupt` inject cluster failures.
 fn runjson(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
-    use coalloc::core::{InvariantAuditor, JsonlSink, PolicyKind, SimBuilder, SimConfig, Tee};
-    let policy = parse_policy(args.first().map(String::as_str))?;
-    let limit: u32 = match args.get(1) {
-        Some(v) => {
-            v.parse().map_err(|_| CoallocError::invalid("<limit>", v, "a component-size limit"))?
-        }
-        None => return Err(CoallocError::MissingValue { flag: "<limit>".to_string() }),
-    };
-    let util: f64 = match args.get(2) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CoallocError::invalid("<utilization>", v, "a gross utilization"))?,
+    use coalloc::core::{InvariantAuditor, JsonlSink, SimBuilder, Tee};
+    let spec = scenario_spec(args, scale)?;
+    let util = match args.get(2) {
+        Some(v) => v.parse().ok().filter(|u: &f64| *u > 0.0 && u.is_finite()).ok_or_else(|| {
+            CoallocError::invalid("<utilization>", v, "a positive gross utilization")
+        })?,
         None => return Err(CoallocError::MissingValue { flag: "<utilization>".to_string() }),
     };
     let events_path = flag_value(args, "--events")?.map(std::path::PathBuf::from);
     let audit = args.iter().any(|a| a == "--audit");
-    let mut cfg = match parse_capacities(args)? {
-        Some(sys) => SimConfig::heterogeneous(policy, limit, util, sys),
-        None if policy == PolicyKind::Sc => SimConfig::das_single_cluster(util),
-        None => SimConfig::das(policy, limit, util),
-    };
-    cfg.total_jobs = scale.total_jobs();
-    cfg.warmup_jobs = scale.warmup_jobs();
-    apply_warmup(&mut cfg, flag_value(args, "--warmup")?)?;
-    let faults = parse_faults(args)?;
-    check_faults(&faults, args, &cfg.system)?;
-    cfg.faults = faults;
-    if let Some(p) = parse_interrupt(args)? {
-        cfg.interrupt = p;
-    }
-    apply_scheduling_flags(
-        &mut cfg,
-        parse_disposition(args)?,
-        parse_discipline(args)?,
-        parse_estimate_factor(args)?,
-    );
-    cfg.network = parse_network(args)?;
+    let cfg = spec.config(util);
+    cfg.validate()?;
 
     let mut sink = match events_path {
         Some(path) => {

@@ -72,9 +72,11 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Parses and validates a scenario from raw string-level inputs (the
-    /// common denominator of CLI flags and JSON request fields). Every
-    /// error is a typed [`CoallocError`] naming the offending field —
-    /// never a panic once the sweep is underway.
+    /// common denominator of CLI flags and JSON request fields): every
+    /// axis parses, the limit is positive, and the scenario's config
+    /// passes [`SimConfig::validate`]. Every error is a typed
+    /// [`CoallocError`] naming the offending field — never a panic once
+    /// the sweep is underway.
     #[allow(clippy::too_many_arguments)]
     pub fn parse(
         policy: Option<&str>,
@@ -92,6 +94,9 @@ impl ScenarioSpec {
     ) -> Result<Self, CoallocError> {
         let policy = parse_policy(policy)?;
         let limit = limit.ok_or_else(|| CoallocError::MissingValue { flag: "<limit>".into() })?;
+        if limit == 0 {
+            return Err(CoallocError::invalid("<limit>", "0", "a positive component-size limit"));
+        }
         let spec = ScenarioSpec {
             policy,
             limit,
@@ -149,16 +154,10 @@ impl ScenarioSpec {
             inject_panic,
             scale,
         };
-        // Check the fault spec against the geometry it will actually run
-        // on — `SimConfig::validate` would panic mid-sweep otherwise.
-        if let Some(f) = &spec.faults {
-            if let Err(detail) = f.validate_for(&spec.config(0.5).system) {
-                return Err(CoallocError::FaultSpec {
-                    spec: faults.unwrap_or_default().into(),
-                    detail,
-                });
-            }
-        }
+        // A scenario no run can execute fails here instead of in every
+        // replication. `inject_panic` stays out of the checked config: it
+        // exists to fail inside a replication.
+        ScenarioSpec { inject_panic: None, ..spec.clone() }.config(0.5).validate()?;
         Ok(spec)
     }
 
@@ -257,10 +256,15 @@ pub fn parse_policy(arg: Option<&str>) -> Result<PolicyKind, CoallocError> {
 mod tests {
     use super::*;
 
-    fn gs16() -> ScenarioSpec {
+    /// A GS scenario with the given limit, warm-up and injected panic.
+    fn gs(
+        limit: Option<u32>,
+        warmup: Option<&str>,
+        inject_panic: Option<f64>,
+    ) -> Result<ScenarioSpec, CoallocError> {
         ScenarioSpec::parse(
             Some("GS"),
-            Some(16),
+            limit,
             None,
             None,
             None,
@@ -268,11 +272,14 @@ mod tests {
             None,
             None,
             None,
-            None,
-            None,
+            warmup,
+            inject_panic,
             Scale::Quick,
         )
-        .expect("valid scenario")
+    }
+
+    fn gs16() -> ScenarioSpec {
+        gs(Some(16), None, None).expect("valid scenario")
     }
 
     #[test]
@@ -349,12 +356,15 @@ mod tests {
             Scale::Quick,
         );
         assert!(bad_estimate.is_err());
+        assert!(gs(Some(0), None, None).is_err(), "a zero limit");
+        // Every axis parses, but the warm-up swallows every job.
+        let swallowed = gs(Some(16), Some("8000"), None);
+        assert!(matches!(swallowed, Err(CoallocError::Config(e)) if e.field == "warmup_jobs"));
     }
 
     #[test]
     fn inject_panic_breaks_exactly_one_point() {
-        let mut spec = gs16();
-        spec.inject_panic = Some(0.5);
+        let spec = gs(Some(16), None, Some(0.5)).expect("the injected panic is not validated");
         let broken = spec.config(0.5);
         assert_eq!(broken.warmup_jobs, broken.total_jobs);
         let healthy = spec.config(0.3);

@@ -147,6 +147,9 @@ pub struct ServeRequest {
     pub target: Option<String>,
 }
 
+/// `disk_hits` counts the round's cache hits answered by rehydrating
+/// the disk store; it is `None`, and left out of the line, when no store
+/// is attached (see [`event_line`]).
 #[derive(serde::Serialize)]
 struct RoundEvent {
     id: String,
@@ -154,22 +157,7 @@ struct RoundEvent {
     round: u64,
     tasks: u64,
     cache_hits: u64,
-    executed: u64,
-    open_points: u64,
-}
-
-/// [`RoundEvent`] when a disk store is attached: `disk_hits` counts the
-/// round's cache hits answered by rehydrating the store. A separate
-/// struct (not an optional field) so storeless daemons emit the
-/// historical bytes exactly.
-#[derive(serde::Serialize)]
-struct RoundEventDisk {
-    id: String,
-    event: String,
-    round: u64,
-    tasks: u64,
-    cache_hits: u64,
-    disk_hits: u64,
+    disk_hits: Option<u64>,
     executed: u64,
     open_points: u64,
 }
@@ -178,6 +166,7 @@ struct RoundEventDisk {
 /// `"points":` up to the closing `}` is exactly
 /// `serde_json::to_string(&points)` — the same bytes `coalloc-exp sweep
 /// --json` prints — so clients and CI can compare results byte for byte.
+/// `disk_hits` is as in [`RoundEvent`].
 #[derive(serde::Serialize)]
 struct SweepResultEvent {
     id: String,
@@ -186,20 +175,7 @@ struct SweepResultEvent {
     resumed: u64,
     executed: u64,
     cache_hits: u64,
-    points: Vec<SweepPoint>,
-}
-
-/// [`SweepResultEvent`] when a disk store is attached; `disk_hits`
-/// slots in before `points`, which stays last for byte-comparability.
-#[derive(serde::Serialize)]
-struct SweepResultEventDisk {
-    id: String,
-    event: String,
-    rounds: u64,
-    resumed: u64,
-    executed: u64,
-    cache_hits: u64,
-    disk_hits: u64,
+    disk_hits: Option<u64>,
     points: Vec<SweepPoint>,
 }
 
@@ -264,6 +240,22 @@ pub struct ServeSummary {
     pub disk_hits: u64,
 }
 
+/// One event as a compact JSON line, without its `null` fields: an
+/// optional field that is `None` is left out, so storeless daemons
+/// emit the historical bytes exactly (the vendored serde derive has no
+/// `skip_serializing_if`; its objects keep field order).
+fn event_line(event: &impl serde::Serialize) -> String {
+    let mut value = event.to_value();
+    if let serde::value::Value::Object(fields) = &mut value {
+        fields.retain(|(_, v)| *v != serde::value::Value::Null);
+    }
+    // Written directly: `serde_json::to_string(&value)` would clone the
+    // tree, `points` included.
+    let mut line = String::new();
+    serde::value::write_compact(&value, &mut line);
+    line
+}
+
 fn send(tx: &mpsc::Sender<String>, line: String) {
     // The writer thread only exits after the channel drains; a send
     // failure means the output pipe died, in which case the results
@@ -311,33 +303,15 @@ fn spec_of(req: &ServeRequest, default_scale: Scale) -> Result<ScenarioSpec, Coa
 }
 
 fn sweep_config(req: &ServeRequest, scale: Scale) -> Result<SweepConfig, CoallocError> {
-    let utilizations = req.utilizations.clone().ok_or_else(|| missing("utilizations"))?;
-    if utilizations.is_empty() {
-        return Err(CoallocError::invalid("utilizations", "[]", "at least one target utilization"));
-    }
     let mut cfg = scale.sweep();
-    cfg.utilizations = utilizations;
+    cfg.utilizations = req.utilizations.clone().ok_or_else(|| missing("utilizations"))?;
     if let Some(v) = req.min_reps {
         cfg.min_replications = v;
     }
     if let Some(v) = req.max_reps {
         cfg.max_replications = v;
     }
-    if cfg.min_replications == 0 || cfg.max_replications < cfg.min_replications {
-        return Err(CoallocError::invalid(
-            "min_reps/max_reps",
-            &format!("{}..{}", cfg.min_replications, cfg.max_replications),
-            "1 <= min_reps <= max_reps",
-        ));
-    }
     if let Some(v) = req.rel_ci {
-        if !(v > 0.0 && v.is_finite()) {
-            return Err(CoallocError::invalid(
-                "rel_ci",
-                &format!("{v}"),
-                "a positive finite half-width",
-            ));
-        }
         cfg.rel_ci_target = v;
     }
     if let Some(v) = req.seed {
@@ -345,6 +319,7 @@ fn sweep_config(req: &ServeRequest, scale: Scale) -> Result<SweepConfig, Coalloc
     }
     cfg.audit = req.audit.unwrap_or(false);
     cfg.checkpoint = req.checkpoint.as_ref().map(std::path::PathBuf::from);
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -372,56 +347,32 @@ fn handle_request(
                 &cfg,
                 Some(cancel),
                 |r| {
-                    let line = if disk {
-                        serde_json::to_string(&RoundEventDisk {
-                            id: id.to_string(),
-                            event: "round".to_string(),
-                            round: r.round as u64,
-                            tasks: r.tasks as u64,
-                            cache_hits: r.cache_hits as u64,
-                            disk_hits: r.disk_hits as u64,
-                            executed: r.executed as u64,
-                            open_points: r.open_points as u64,
-                        })
-                    } else {
-                        serde_json::to_string(&RoundEvent {
-                            id: id.to_string(),
-                            event: "round".to_string(),
-                            round: r.round as u64,
-                            tasks: r.tasks as u64,
-                            cache_hits: r.cache_hits as u64,
-                            executed: r.executed as u64,
-                            open_points: r.open_points as u64,
-                        })
+                    let round = RoundEvent {
+                        id: id.to_string(),
+                        event: "round".to_string(),
+                        round: r.round as u64,
+                        tasks: r.tasks as u64,
+                        cache_hits: r.cache_hits as u64,
+                        disk_hits: disk.then_some(r.disk_hits as u64),
+                        executed: r.executed as u64,
+                        open_points: r.open_points as u64,
                     };
-                    send(tx, line.expect("round event serializes"));
+                    send(tx, event_line(&round));
                 },
             );
             match run {
                 Ok((points, stats)) => {
-                    let line = if disk {
-                        serde_json::to_string(&SweepResultEventDisk {
-                            id: id.to_string(),
-                            event: "result".to_string(),
-                            rounds: stats.rounds as u64,
-                            resumed: stats.resumed,
-                            executed: stats.executed,
-                            cache_hits: stats.cache_hits,
-                            disk_hits: stats.disk_hits,
-                            points,
-                        })
-                    } else {
-                        serde_json::to_string(&SweepResultEvent {
-                            id: id.to_string(),
-                            event: "result".to_string(),
-                            rounds: stats.rounds as u64,
-                            resumed: stats.resumed,
-                            executed: stats.executed,
-                            cache_hits: stats.cache_hits,
-                            points,
-                        })
+                    let result = SweepResultEvent {
+                        id: id.to_string(),
+                        event: "result".to_string(),
+                        rounds: stats.rounds as u64,
+                        resumed: stats.resumed,
+                        executed: stats.executed,
+                        cache_hits: stats.cache_hits,
+                        disk_hits: disk.then_some(stats.disk_hits),
+                        points,
                     };
-                    send(tx, line.expect("sweep result serializes"));
+                    send(tx, event_line(&result));
                     Ok(None)
                 }
                 Err(reason) => {
@@ -709,6 +660,27 @@ mod tests {
         serde::value::field(ev, name).expect("event is an object")
     }
 
+    /// The keys of the first `kind` event, in order.
+    fn keys_of<'a>(events: &'a [serde::value::Value], kind: &str) -> Vec<&'a str> {
+        match events.iter().find(|e| str_field(e, "event") == kind) {
+            Some(serde::value::Value::Object(fields)) => {
+                fields.iter().map(|(k, _)| k.as_str()).collect()
+            }
+            other => panic!("no {kind} object event: {other:?}"),
+        }
+    }
+
+    const ROUND_KEYS: [&str; 8] =
+        ["id", "event", "round", "tasks", "cache_hits", "disk_hits", "executed", "open_points"];
+    const RESULT_KEYS: [&str; 8] =
+        ["id", "event", "rounds", "resumed", "executed", "cache_hits", "disk_hits", "points"];
+
+    /// `keys` without `disk_hits`: the shape of a storeless daemon's
+    /// events.
+    fn storeless(keys: [&str; 8]) -> Vec<&str> {
+        keys.into_iter().filter(|&k| k != "disk_hits").collect()
+    }
+
     fn str_field(ev: &serde::value::Value, name: &str) -> String {
         match field(ev, name) {
             serde::value::Value::String(s) => s.clone(),
@@ -768,8 +740,10 @@ mod tests {
         let (events, summary) = run_lines(&format!("{a}\n{b}\n"));
         assert_eq!(summary.errors, 0);
         assert!(summary.cache_hits >= 2, "0.4's replications answered from memory");
-        // Round events stream before results and echo per-round counts.
-        assert!(events.iter().any(|e| str_field(e, "event") == "round"));
+        // Round events stream before results and echo per-round counts;
+        // without a store neither event carries `disk_hits`.
+        assert_eq!(keys_of(&events, "round"), storeless(ROUND_KEYS));
+        assert_eq!(keys_of(&events, "result"), storeless(RESULT_KEYS));
     }
 
     #[test]
@@ -857,6 +831,9 @@ mod tests {
             serde::value::Value::Uint(n) => assert!(*n > 0, "disk hits surfaced in-band"),
             other => panic!("disk_hits is {other:?}"),
         }
+        // With a store, `disk_hits` sits before `points`, which stays last.
+        assert_eq!(keys_of(&events, "round"), ROUND_KEYS);
+        assert_eq!(keys_of(&events, "result"), RESULT_KEYS);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
