@@ -4,13 +4,17 @@
 //! outcome except the replication index — crossed with a target-
 //! utilization grid. The scenario is identified by a 64-bit digest of
 //! the **full** simulation configuration (policy, system shape,
-//! workload, disposition, discipline, faults, network, warm-up, run
-//! lengths, …) with the per-replication seed normalized out. That
-//! digest is the checkpoint fingerprint *and* the scenario-cache key:
-//! two sweeps agree on a point's replication exactly when their digests
-//! and base seeds agree, in which case the replication is bit-identical
-//! and may be shared or resumed freely.
+//! workload with its size and service-time tables, disposition,
+//! discipline, faults, network, warm-up, run lengths, …) with the
+//! per-replication seed normalized out. The digest is a structural
+//! hash: every field is fed through its [`Hash`] impl, floats by bit
+//! pattern, into a fixed-state word hasher. That digest is the
+//! checkpoint fingerprint *and* the scenario-cache and result-store
+//! key: two sweeps agree on a point's replication exactly when their
+//! digests and base seeds agree, in which case the replication is
+//! bit-identical and may be shared or resumed freely.
 
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 use desim::stopping::StoppingRule;
@@ -134,81 +138,225 @@ impl SweepConfig {
     }
 }
 
-/// FNV-1a over a byte string: small, dependency-free, and stable for a
-/// given build — exactly the lifetime a checkpoint, cache entry, or
-/// store record has (all are optimizations over re-running, never
-/// sources of truth). The result store frames every record with it.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// MurmurHash64A's multiplier and shift.
+const MUL: u64 = 0xc6a4_a793_5bd1_e995;
+const SHIFT: u32 = 47;
+
+/// The hasher behind the digests: fixed state (no per-process keys, so
+/// a digest is the same in every process of a build — the lifetime a
+/// checkpoint, cache entry or store record has) and whole 8-byte words.
+/// Each word is mixed by multiply-and-xorshift before it enters the
+/// state, MurmurHash64A's step, so a difference anywhere in a word, a
+/// float's sign bit included, spreads over the whole state.
+struct DigestHasher(u64);
+
+impl DigestHasher {
+    fn new() -> Self {
+        DigestHasher(0x243f_6a88_85a3_08d3)
     }
-    hash
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let mut k = w.wrapping_mul(MUL);
+        k ^= k >> SHIFT;
+        k = k.wrapping_mul(MUL);
+        self.0 = (self.0 ^ k).wrapping_mul(MUL);
+    }
 }
 
-/// The scenario digest of one sweep point: a hash of the complete
-/// [`SimConfig`] with the seed normalized to zero (the sweep overwrites
-/// it with [`super::replication_seed`] per replication, so it is not
-/// part of the scenario). Every field that can change a replication's
-/// outcome — policy, system, workload, faults, network, disposition,
-/// discipline, warm-up, run lengths — feeds the digest through the
-/// config's `Debug` rendering, so adding a scenario axis to `SimConfig`
-/// automatically widens the fingerprint.
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> SHIFT;
+        h = h.wrapping_mul(MUL);
+        h ^ (h >> SHIFT)
+    }
+
+    /// The length, then the bytes as little-endian words, the last one
+    /// zero-padded: strings that differ only in trailing zeros differ.
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    /// Enum discriminants.
+    fn write_isize(&mut self, n: isize) {
+        self.word(n as u64);
+    }
+}
+
+/// The scenario digest of one sweep point: a structural hash of the
+/// complete [`SimConfig`] with the seed normalized to zero (the sweep
+/// overwrites it with [`super::replication_seed`] per replication, so
+/// it is not part of the scenario). Every field that can change a
+/// replication's outcome — policy, system, workload with its size and
+/// service-time tables, faults, network, disposition, discipline,
+/// warm-up, run lengths — is fed through its [`Hash`] impl, floats by
+/// bit pattern. Those impls destructure each struct without `..`, so a
+/// new scenario field fails to compile until it feeds the digest.
+///
+/// Digests are stable within a build, not across changes to the
+/// hashing. This structural hash replaced FNV-1a over the config's
+/// `Debug` text and so changed every key: the result store's segment
+/// magic moved to `COALSTO3`, so records an earlier build stored are
+/// recomputed once, and an earlier build's checkpoints restart on the
+/// fingerprint mismatch.
 pub fn point_digest(cfg: &SimConfig) -> u64 {
-    let normalized = cfg.clone().with_seed(0);
-    fnv1a(format!("{normalized:?}").as_bytes())
+    let mut state = DigestHasher::new();
+    cfg.hash_with_seed(0, &mut state);
+    state.finish()
 }
 
 /// The fingerprint of a whole sweep: the base seed and the per-point
 /// scenario digests, folded in grid order. Checkpoints carry this value
 /// and refuse to resume under any other scenario.
 pub fn sweep_digest(base_seed: u64, point_digests: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(8 * (1 + point_digests.len()));
-    bytes.extend_from_slice(&base_seed.to_le_bytes());
-    for d in point_digests {
-        bytes.extend_from_slice(&d.to_le_bytes());
-    }
-    fnv1a(&bytes)
+    let mut state = DigestHasher::new();
+    base_seed.hash(&mut state);
+    point_digests.hash(&mut state);
+    state.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultSpec, InterruptPolicy, ResizePolicy};
+    use crate::placement::PlacementRule;
     use crate::policy::PolicyKind;
+    use crate::queue::QueueDiscipline;
+    use crate::sim::{NetworkSpec, Warmup};
+    use crate::system::SystemSpec;
+    use coalloc_workload::{JobDisposition, JobSizeDist, QueueRouting, RequestKind, ServiceDist};
 
     #[test]
     fn digest_ignores_the_seed_but_nothing_else() {
         let cfg = SimConfig::das(PolicyKind::Gs, 16, 0.5);
         assert_eq!(point_digest(&cfg), point_digest(&cfg.clone().with_seed(99)));
 
-        let mut other = cfg.clone();
-        other.policy = PolicyKind::Ls;
-        assert_ne!(point_digest(&cfg), point_digest(&other));
+        // One edit per field of `SimConfig` and of its workload.
+        type Edit = fn(&mut SimConfig);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("policy", |c| c.policy = PolicyKind::Ls),
+            ("sizes", |c| c.workload.sizes = JobSizeDist::das_s_64()),
+            ("service", |c| c.workload.service = ServiceDist::exponential(300.0)),
+            ("service cap", |c| c.workload.service = ServiceDist::das_t_900().with_cap(600.0)),
+            ("limit", |c| c.workload.limit = 24),
+            ("clusters", |c| c.workload.clusters = 3),
+            ("extension", |c| c.workload.extension = 1.5),
+            ("spread_penalty", |c| c.workload.spread_penalty = 0.1),
+            ("request_kind", |c| c.workload.request_kind = RequestKind::Ordered),
+            ("size_service_exponent", |c| c.workload.size_service_exponent = 0.5),
+            ("routing", |c| c.routing = QueueRouting::unbalanced(4)),
+            ("routing weights", |c| {
+                c.routing = QueueRouting::custom(&[1.0, 1.0, 1.0, 1.0 + 1e-12])
+            }),
+            ("system", |c| c.system = SystemSpec::new([32, 32, 32, 33])),
+            ("arrival_rate", |c| c.arrival_rate = f64::from_bits(c.arrival_rate.to_bits() + 1)),
+            ("arrival_cv2", |c| c.arrival_cv2 = 2.0),
+            ("total_jobs", |c| c.total_jobs += 1),
+            ("warmup_jobs", |c| c.warmup_jobs += 1),
+            ("warmup", |c| c.warmup = Warmup::Auto),
+            ("batch_size", |c| c.batch_size = 200),
+            ("rule", |c| c.rule = PlacementRule::BestFit),
+            ("record_series", |c| c.record_series = true),
+            ("faults", |c| c.faults = FaultSpec::parse("exp:50000:5000").ok()),
+            ("fault trace", |c| c.faults = FaultSpec::parse("down:100:0,up:200:0").ok()),
+            ("interrupt", |c| c.interrupt = InterruptPolicy::Abort),
+            ("disposition", |c| c.disposition = JobDisposition::Moldable),
+            ("discipline", |c| c.discipline = QueueDiscipline::Easy),
+            ("estimate_factor", |c| c.estimate_factor = 3.0),
+            ("resize", |c| c.resize = ResizePolicy::ShrinkOnly),
+            ("network", |c| c.network = Some(NetworkSpec::backbone(2.0))),
+            ("network topology", |c| c.network = Some(NetworkSpec::pairwise(2.0))),
+        ];
+        let mut seen = vec![point_digest(&cfg)];
+        for (field, edit) in &edits {
+            let mut other = cfg.clone();
+            edit(&mut other);
+            let digest = point_digest(&other);
+            assert!(!seen.contains(&digest), "editing `{field}` gives a digest seen before");
+            seen.push(digest);
+        }
 
-        let mut other = cfg.clone();
-        other.disposition = coalloc_workload::JobDisposition::Moldable;
-        assert_ne!(point_digest(&cfg), point_digest(&other));
-
-        let mut other = cfg.clone();
-        other.discipline = crate::queue::QueueDiscipline::Easy;
-        assert_ne!(point_digest(&cfg), point_digest(&other));
-
-        let mut other = cfg.clone();
-        other.faults = Some(crate::fault::FaultSpec::parse("exp:50000:5000").unwrap());
-        assert_ne!(point_digest(&cfg), point_digest(&other));
-
-        let mut other = cfg.clone();
-        other.network = Some("2".parse().unwrap());
-        assert_ne!(point_digest(&cfg), point_digest(&other));
+        // Bit patterns, not values: a float's sign alone is a new scenario.
+        let mut negated = cfg.clone();
+        negated.workload.spread_penalty = -0.0;
+        assert_ne!(point_digest(&cfg), point_digest(&negated));
+        // So does a value nested in a list: one fault event's time.
+        let mut faults = cfg.clone();
+        faults.faults = FaultSpec::parse("down:100:0,up:200:0").ok();
+        let mut later = cfg.clone();
+        later.faults = FaultSpec::parse("down:100:0,up:201:0").ok();
+        assert_ne!(point_digest(&faults), point_digest(&later));
 
         let other = SimConfig::heterogeneous(
             PolicyKind::Gs,
             16,
             0.5,
-            crate::system::SystemSpec::new([72, 32, 32, 32, 32]),
+            SystemSpec::new([72, 32, 32, 32, 32]),
         );
         assert_ne!(point_digest(&cfg), point_digest(&other));
+    }
+
+    #[test]
+    fn digest_sees_the_service_time_table() {
+        // One name, two bin widths: the `Debug` text rendered both
+        // tables as the bare word `Empirical`, so these shared a key.
+        let log = coalloc_trace::generate_das1_log(&coalloc_trace::DasLogConfig {
+            jobs: 2_000,
+            ..Default::default()
+        });
+        let with_bins = |width: f64| {
+            let mut cfg = SimConfig::das(PolicyKind::Gs, 16, 0.5);
+            cfg.workload.service = ServiceDist::from_trace("DAS1 runtimes", &log, width);
+            cfg
+        };
+        assert_ne!(point_digest(&with_bins(10.0)), point_digest(&with_bins(60.0)));
+        assert_eq!(point_digest(&with_bins(10.0)), point_digest(&with_bins(10.0)));
+    }
+
+    #[test]
+    fn point_digest_hashes_the_seed_normalized_config() {
+        let cfg = SimConfig::das(PolicyKind::Lp, 24, 0.6).with_seed(77);
+        let mut state = DigestHasher::new();
+        cfg.clone().with_seed(0).hash(&mut state);
+        assert_eq!(point_digest(&cfg), state.finish());
+    }
+
+    #[test]
+    fn byte_strings_that_differ_only_in_trailing_zeros_differ() {
+        let digest = |bytes: &[u8]| {
+            let mut state = DigestHasher::new();
+            state.write(bytes);
+            state.finish()
+        };
+        assert_ne!(digest(b"a"), digest(b"a\0"));
+        assert_ne!(digest(&[0; 8]), digest(&[0; 16]));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ## Format
 //!
 //! A store is a directory of segment files `store-<n>.seg`. Each
-//! segment starts with an 8-byte magic (`COALSTO2`) followed by framed
+//! segment starts with an 8-byte magic (`COALSTO3`) followed by framed
 //! records:
 //!
 //! ```text
@@ -37,8 +37,9 @@
 //! stops the scan of that segment with a warning on stderr — every
 //! frame before the damage is kept, recovery never panics, and a
 //! zero-length file contributes nothing. A file without the current
-//! magic (a foreign file, or a segment written by an earlier format) is
-//! ignored with a warning and deleted by the next compaction.
+//! magic (a foreign file, or a segment written by an earlier format, or
+//! keyed by an earlier build's scenario digest) is ignored with a
+//! warning and deleted by the next compaction.
 //!
 //! [`get`](ResultStore::get) verifies the frame's checksum again and
 //! parses its payload. A payload that is not a record, or whose key
@@ -56,8 +57,9 @@
 //! file, `sync_all`, atomic rename, directory sync) and deletes the old
 //! segments, so a long-lived daemon's disk footprint tracks its live
 //! entries. A writer holds a file lock on its segment while it appends,
-//! and compaction keeps a locked segment, so a peer process still
-//! appending to the same directory loses nothing.
+//! and compaction keeps a locked segment, or one that grew past the
+//! length this store scanned and appended, so a peer process appending
+//! to the same directory loses nothing, even after it exits.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -66,7 +68,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use super::checkpoint::unique_tmp_path;
-use super::grid::fnv1a;
 use crate::sim::SimOutcome;
 
 /// Key of one stored replication: `(point scenario digest, base seed,
@@ -74,7 +75,9 @@ use crate::sim::SimOutcome;
 type Key = (u64, u64, u64);
 
 /// Magic bytes opening every segment file (name + format version).
-const MAGIC: &[u8; 8] = b"COALSTO2";
+/// Version 3 keys records by the structural scenario digest; a segment
+/// of an earlier version holds keys no lookup produces any more.
+const MAGIC: &[u8; 8] = b"COALSTO3";
 
 /// Offset of the bytes the checksum covers: the key, then the payload.
 const CHECKED_FROM: usize = 4 + 8;
@@ -137,6 +140,9 @@ struct Segment {
     /// `None` when the file could not be opened; nothing is indexed in
     /// it then.
     reader: Option<File>,
+    /// The file's length as this store scanned it, grown by this
+    /// store's own appends: bytes past it are a peer's.
+    len: u64,
 }
 
 impl Segment {
@@ -147,6 +153,17 @@ impl Segment {
         file.seek(SeekFrom::Start(loc.offset))?;
         file.read_exact(frame)
     }
+
+    /// Whether the segment may hold records this store never indexed: a
+    /// peer store still appends to it (its writer holds the file lock),
+    /// or appended to it after this store scanned it and has since
+    /// closed it (the file is longer than `len`).
+    fn has_peer_records(&self) -> bool {
+        let Some(file) = &self.reader else { return false };
+        // Once the lock is ours no peer is mid-append, so the length is
+        // final.
+        file.try_lock().is_err() || file.metadata().map_or(true, |m| m.len() > self.len)
+    }
 }
 
 struct StoreInner {
@@ -155,8 +172,9 @@ struct StoreInner {
     segments: Vec<Segment>,
     /// Newest location of every key.
     index: HashMap<Key, Loc>,
-    /// The segment this process appends to, opened lazily.
-    writer: Option<ActiveSegment>,
+    /// The segment this process appends to (the last of `segments`),
+    /// opened lazily.
+    writer: Option<File>,
     /// Next segment number to try.
     next_segment: u64,
     /// Records superseded by a newer append or dropped as duplicates at
@@ -165,12 +183,6 @@ struct StoreInner {
     /// Appends that failed (disk full, permissions); the store keeps
     /// serving from what it has.
     append_errors: u64,
-}
-
-struct ActiveSegment {
-    file: File,
-    /// Byte offset the next frame starts at.
-    offset: u64,
 }
 
 /// What [`ResultStore::open`] recovered, for the operator log.
@@ -222,9 +234,9 @@ impl ResultStore {
         let mut recovery = RecoveryReport::default();
         let mut segments = Vec::with_capacity(numbered.len());
         for (seg, (_, path)) in numbered.into_iter().enumerate() {
-            let (reader, intact) = scan_segment(&path, seg, &mut index, &mut recovery);
+            let (segment, intact) = scan_segment(path, seg, &mut index, &mut recovery);
             recovery.damaged_segments += u64::from(!intact);
-            segments.push(Segment { path, reader });
+            segments.push(segment);
         }
         recovery.live = index.len() as u64;
         Ok(ResultStore {
@@ -323,10 +335,11 @@ impl ResultStore {
 
     /// Copies every live frame, its checksum re-verified, into one
     /// fresh segment (temp file + atomic rename) and deletes the old
-    /// segments, except one a peer store is still appending to (its
-    /// writer holds the file lock). Safe at any time: a crash
-    /// mid-compaction leaves either the old segments or the new one plus
-    /// harmless duplicates, both of which recover fully.
+    /// segments, except one that may hold a peer store's records: the
+    /// peer still appends to it (its writer holds the file lock), or it
+    /// grew past what this store scanned and appended. Safe at any time:
+    /// a crash mid-compaction leaves either the old segments or the new
+    /// one plus harmless duplicates, both of which recover fully.
     pub fn compact(&self) -> std::io::Result<()> {
         let mut inner = relock(&self.inner);
         inner.writer = None; // closes the active segment
@@ -367,15 +380,15 @@ impl ResultStore {
         // The rename must be durable before the segments it replaces go.
         File::open(&self.dir)?.sync_all()?;
         let reader = File::open(&target).ok();
-        let old = std::mem::replace(&mut inner.segments, vec![Segment { path: target, reader }]);
+        let compacted = Segment { path: target, reader, len: offset };
+        let old = std::mem::replace(&mut inner.segments, vec![compacted]);
         inner.index = index;
         inner.dead = 0;
         drop(inner);
         for seg in old {
-            // A peer still appending holds its segment's lock: its later
-            // records are in no index here, so the segment stays (the
-            // frames copied from it are harmless duplicates).
-            if seg.reader.as_ref().is_none_or(|f| f.try_lock().is_ok()) {
+            // A peer's records are in no index here, so their segment
+            // stays (the frames copied from it are harmless duplicates).
+            if !seg.has_peer_records() {
                 let _ = std::fs::remove_file(&seg.path);
             }
         }
@@ -392,14 +405,17 @@ impl StoreInner {
             file.lock()?;
             let reader = File::open(&path)?;
             file.write_all(MAGIC)?;
-            self.segments.push(Segment { path, reader: Some(reader) });
-            self.writer = Some(ActiveSegment { file, offset: MAGIC.len() as u64 });
+            self.segments.push(Segment { path, reader: Some(reader), len: MAGIC.len() as u64 });
+            self.writer = Some(file);
         }
         let seg = self.segments.len() - 1;
-        let active = self.writer.as_mut().expect("active segment just ensured");
-        let offset = active.offset;
-        active.file.write_all(frame)?;
-        active.offset += frame.len() as u64;
+        let writer = self.writer.as_mut().expect("active segment just ensured");
+        let segment = &mut self.segments[seg];
+        let offset = segment.len;
+        // Counted before the write: a failed write leaves the file no
+        // longer than this, so compaction never takes it for a peer's.
+        segment.len += frame.len() as u64;
+        writer.write_all(frame)?;
         let len = (frame.len() - FRAME_HEADER) as u32;
         if self.index.insert(key, Loc { seg, offset, len }).is_some() {
             self.dead += 1;
@@ -428,6 +444,17 @@ fn claim_segment(dir: &Path, next: &mut u64) -> std::io::Result<(PathBuf, File)>
             Err(e) => return Err(e),
         }
     }
+}
+
+/// FNV-1a over a byte string: small, dependency-free, and stable, so
+/// a frame written by one build verifies in the next.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// One frame's bytes: length, checksum, key, payload.
@@ -481,35 +508,35 @@ fn decode_record(frame: &[u8], key: Key) -> Result<Result<SimOutcome, String>, S
 }
 
 /// Scans one segment into the index, newest record winning. Returns the
-/// handle later reads go through and `false` as its second value (after
-/// warning) when a damaged suffix was dropped or the file is not a
-/// segment of this format; the frames before any damage are kept.
+/// segment later reads go through and `false` as its second value
+/// (after warning) when a damaged suffix was dropped or the file is not
+/// a segment of this format; the frames before any damage are kept.
 fn scan_segment(
-    path: &Path,
+    path: PathBuf,
     seg: usize,
     index: &mut HashMap<Key, Loc>,
     recovery: &mut RecoveryReport,
-) -> (Option<File>, bool) {
+) -> (Segment, bool) {
     let mut bytes = Vec::new();
-    let read = File::open(path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
-    let file = match read {
-        Ok(f) => f,
+    let read = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
+    let segment = match read {
+        Ok(f) => Segment { reader: Some(f), len: bytes.len() as u64, path },
         Err(e) => {
             eprintln!("warning: cannot read store segment {} ({e}); skipping", path.display());
-            return (None, false);
+            return (Segment { path, reader: None, len: 0 }, false);
         }
     };
     if bytes.is_empty() {
         // A segment created but never written (or truncated to nothing):
         // nothing to recover, nothing to warn about.
-        return (Some(file), true);
+        return (segment, true);
     }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         eprintln!(
             "warning: store segment {} has no valid header; ignoring the file",
-            path.display()
+            segment.path.display()
         );
-        return (Some(file), false);
+        return (segment, false);
     }
     let mut offset = MAGIC.len();
     while offset < bytes.len() {
@@ -517,10 +544,10 @@ fn scan_segment(
             eprintln!(
                 "warning: store segment {} damaged at byte {offset}; \
                  dropping the suffix ({} records recovered so far)",
-                path.display(),
+                segment.path.display(),
                 index.len()
             );
-            return (Some(file), false);
+            return (segment, false);
         };
         let loc = Loc { seg, offset: offset as u64, len: (frame_len - FRAME_HEADER) as u32 };
         if index.insert(key, loc).is_some() {
@@ -528,7 +555,7 @@ fn scan_segment(
         }
         offset += frame_len;
     }
-    (Some(file), true)
+    (segment, true)
 }
 
 #[cfg(test)]
@@ -774,13 +801,10 @@ mod tests {
     fn a_segment_of_the_previous_format_is_ignored_and_compacted_away() {
         let dir = temp_store_dir("old-magic");
         std::fs::create_dir_all(&dir).expect("dir");
-        // `COALSTO1` framing: [u32 len][u64 FNV-1a(payload)][payload].
-        let record = StoreRecord::from_result((1, 2, 0), &Err("v1".into()));
-        let payload = serde_json::to_string(&record).expect("encodes");
-        let mut old = b"COALSTO1".to_vec();
-        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        old.extend_from_slice(&fnv1a(payload.as_bytes()).to_le_bytes());
-        old.extend_from_slice(payload.as_bytes());
+        // `COALSTO2` framing is this format's; its keys are digests of
+        // the config's `Debug` text, which no lookup produces any more.
+        let mut old = b"COALSTO2".to_vec();
+        old.extend_from_slice(&record_frame((1, 2, 0), (1, 2, 0), "v2"));
         let old_path = dir.join("store-000000.seg");
         std::fs::write(&old_path, &old).expect("old segment");
 
@@ -788,7 +812,7 @@ mod tests {
         assert_eq!(store.recovery().damaged_segments, 1);
         assert!(store.is_empty());
         assert!(store.get(1, 2, 0).is_none(), "an old record is recomputed, not read");
-        store.append(1, 2, 0, &Err("v2".into()));
+        store.append(1, 2, 0, &Err("v3".into()));
         assert_eq!(segment_files(&dir).len(), 2, "the append opened a fresh segment");
         assert_eq!(std::fs::read(&old_path).expect("old segment stays"), old);
 
@@ -799,7 +823,7 @@ mod tests {
         drop(store);
         let reopened = ResultStore::open(&dir).expect("store reopens");
         assert_eq!(reopened.recovery().damaged_segments, 0);
-        assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v2".into()));
+        assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v3".into()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -821,6 +845,29 @@ mod tests {
             .map(|&(digest, seed, rep)| stored_err(&reopened, digest, seed, rep).is_some())
             .collect();
         assert_eq!(found, [true; 4], "every record of both stores survives");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_keeps_a_segment_a_closed_peer_grew_after_the_scan() {
+        let dir = temp_store_dir("closed-peer-compact");
+        let a = ResultStore::open(&dir).expect("store opens");
+        a.append(1, 0, 0, &Err("a before b opened".into()));
+        let b = ResultStore::open(&dir).expect("store opens again");
+        a.append(1, 0, 1, &Err("a after b opened".into()));
+        // A exits (or is killed): its lock is gone, its second record is
+        // in no index of B's.
+        drop(a);
+        b.append(2, 0, 0, &Err("b".into()));
+        b.compact().expect("compaction succeeds");
+        drop(b);
+
+        let reopened = ResultStore::open(&dir).expect("store reopens");
+        let found: Vec<bool> = [(1, 0, 0), (1, 0, 1), (2, 0, 0)]
+            .iter()
+            .map(|&(digest, seed, rep)| stored_err(&reopened, digest, seed, rep).is_some())
+            .collect();
+        assert_eq!(found, [true; 3], "the closed peer's late record survives");
         std::fs::remove_dir_all(&dir).ok();
     }
 

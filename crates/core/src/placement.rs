@@ -13,7 +13,7 @@ use crate::audit::{PlacementDecision, PlacementScope, SimObserver};
 use crate::job::{JobId, Placement, SubmitQueue};
 
 /// How a component picks among the clusters it fits on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PlacementRule {
     /// Pick the cluster with the *most* idle processors (the paper).
     WorstFit,

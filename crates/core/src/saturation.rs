@@ -17,6 +17,7 @@
 use coalloc_workload::{QueueRouting, Workload};
 use desim::RngStream;
 
+use crate::error::{ensure, ConfigError};
 use crate::feed::BacklogFeed;
 use crate::placement::PlacementRule;
 use crate::policy::PolicyKind;
@@ -162,7 +163,6 @@ impl ProbePlan {
     where
         F: Fn(f64) -> crate::sim::SimConfig,
     {
-        assert!(self.replications > 0, "probe needs at least one replication");
         let cfgs: Vec<crate::sim::SimConfig> = (0..self.replications)
             .map(|rep| {
                 let cfg = make_cfg(util);
@@ -186,6 +186,34 @@ impl ProbePlan {
         let votes = outcomes.iter().filter(|o| o.saturated).count();
         Ok(2 * votes > outcomes.len())
     }
+}
+
+/// Checks a bisection's search inputs: bounds with `0 < lo < hi <= 2`,
+/// a positive, finite tolerance, and at least one probe replication.
+/// The bisection panics with the returned error's message; front ends
+/// call this first and report it.
+pub fn validate_bisection(
+    lo: f64,
+    hi: f64,
+    tolerance: f64,
+    plan: &ProbePlan,
+) -> Result<(), ConfigError> {
+    ensure(
+        lo > 0.0 && lo.is_finite(),
+        "lo",
+        format_args!("search bounds must satisfy 0 < lo < hi <= 2, got lo = {lo}"),
+    )?;
+    ensure(
+        lo < hi && hi <= 2.0,
+        "hi",
+        format_args!("search bounds must satisfy 0 < lo < hi <= 2, got lo = {lo}, hi = {hi}"),
+    )?;
+    ensure(
+        tolerance > 0.0 && tolerance.is_finite(),
+        "tolerance",
+        format_args!("bisection tolerance must be positive and finite, got {tolerance}"),
+    )?;
+    ensure(plan.replications > 0, "replications", "probe needs at least one replication")
 }
 
 /// Finds the maximal stable utilization of *any* policy by bisection on
@@ -215,8 +243,9 @@ where
 /// `hi - lo <= tolerance` and returns the last stable utilization found.
 ///
 /// # Panics
-/// Panics when `[lo, hi]` does not bracket the saturation threshold:
-/// `lo` must be stable and `hi` saturated. Both ends are checked
+/// Panics with [`validate_bisection`]'s message on invalid search
+/// inputs, and when `[lo, hi]` does not bracket the saturation
+/// threshold: `lo` must be stable and `hi` saturated. Both ends are checked
 /// unconditionally (also in release builds) — an unchecked bracket
 /// silently converges to the nearest bound and reports it as the
 /// saturation point, which is a wrong *number*, not a crash.
@@ -278,8 +307,7 @@ pub fn bisect_max_utilization_cancellable_on<F>(
 where
     F: Fn(f64) -> crate::sim::SimConfig,
 {
-    assert!(0.0 < lo && lo < hi && hi <= 2.0, "search bounds must satisfy 0 < lo < hi <= 2");
-    assert!(tolerance > 0.0);
+    validate_bisection(lo, hi, tolerance, plan).unwrap_or_else(|e| panic!("{e}"));
     // The bounds must bracket the threshold. These probes are the
     // price of a trustworthy answer; a debug_assert! would vanish in
     // release builds, where all real searches run.
@@ -392,6 +420,28 @@ mod tests {
         // Checked unconditionally — the old debug_assert! (with a
         // different message) vanished entirely in release builds.
         bisect_max_utilization(tiny_cfg, 1.5, 1.8, 0.05);
+    }
+
+    #[test]
+    fn invalid_search_inputs_name_their_field() {
+        let field = |lo: f64, hi: f64, tolerance: f64, replications: u64| {
+            let plan = ProbePlan { replications, threads: 1 };
+            validate_bisection(lo, hi, tolerance, &plan).err().map(|e| e.field)
+        };
+        assert_eq!(field(0.3, 1.2, 0.05, 3), None);
+        assert_eq!(field(-1.0, 1.2, 0.05, 3), Some("lo"));
+        assert_eq!(field(f64::NAN, 1.2, 0.05, 3), Some("lo"));
+        assert_eq!(field(0.3, 3.0, 0.05, 3), Some("hi"));
+        assert_eq!(field(0.5, 0.4, 0.05, 3), Some("hi"));
+        assert_eq!(field(0.3, 1.2, 0.0, 3), Some("tolerance"));
+        assert_eq!(field(0.3, 1.2, f64::INFINITY, 3), Some("tolerance"));
+        assert_eq!(field(0.3, 1.2, 0.05, 0), Some("replications"));
+    }
+
+    #[test]
+    #[should_panic(expected = "search bounds must satisfy 0 < lo < hi <= 2, got lo = -1")]
+    fn bisection_panics_with_the_checks_message() {
+        bisect_max_utilization(tiny_cfg, -1.0, 1.2, 0.05);
     }
 
     #[test]

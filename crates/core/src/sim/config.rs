@@ -1,6 +1,8 @@
 //! Simulation configuration: warm-up policy, workload, system shape and
 //! the validation rules tying them together.
 
+use std::hash::{Hash, Hasher};
+
 use coalloc_workload::{JobDisposition, QueueRouting, Workload};
 
 use super::network::NetworkSpec;
@@ -15,7 +17,9 @@ use crate::system::SystemSpec;
 ///
 /// The serde impls only matter for configs embedded in JSON reports;
 /// the variant carries no data so the vendored derive can handle it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum Warmup {
     /// Discard the first `warmup_jobs` departures — the paper's rule,
     /// and the default.
@@ -220,6 +224,55 @@ impl SimConfig {
         self
     }
 
+    /// Feeds every field to `state` as [`Hash`] does, with `seed` in
+    /// place of the configured seed, so a digest of the config with its
+    /// seed normalized needs no clone. Floats are fed by bit pattern.
+    pub(crate) fn hash_with_seed<H: Hasher>(&self, seed: u64, state: &mut H) {
+        // No `..`: a new field fails to compile until it is fed here.
+        let SimConfig {
+            policy,
+            workload,
+            routing,
+            system,
+            arrival_rate,
+            arrival_cv2,
+            total_jobs,
+            warmup_jobs,
+            warmup,
+            batch_size,
+            rule,
+            seed: _,
+            record_series,
+            faults,
+            interrupt,
+            disposition,
+            discipline,
+            estimate_factor,
+            resize,
+            network,
+        } = self;
+        policy.hash(state);
+        workload.hash(state);
+        routing.hash(state);
+        system.hash(state);
+        arrival_rate.to_bits().hash(state);
+        arrival_cv2.to_bits().hash(state);
+        total_jobs.hash(state);
+        warmup_jobs.hash(state);
+        warmup.hash(state);
+        batch_size.hash(state);
+        rule.hash(state);
+        seed.hash(state);
+        record_series.hash(state);
+        faults.hash(state);
+        interrupt.hash(state);
+        disposition.hash(state);
+        discipline.hash(state);
+        estimate_factor.to_bits().hash(state);
+        resize.hash(state);
+        network.hash(state);
+    }
+
     /// Per-cluster capacities of the configured system.
     pub fn capacities(&self) -> &[u32] {
         self.system.capacities()
@@ -313,6 +366,12 @@ impl SimConfig {
             Some(net) => net.validate(),
             None => Ok(()),
         }
+    }
+}
+
+impl Hash for SimConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_with_seed(self.seed, state);
     }
 }
 

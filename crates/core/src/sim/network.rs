@@ -17,12 +17,13 @@
 //!
 //! [`OccupancyModel`]: crate::sim::OccupancyModel
 
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::error::{ensure, ConfigError};
 
 /// How inter-cluster bandwidth is laid out.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum NetworkTopology {
     /// One shared wide-area backbone: every multi-cluster flow crosses
     /// the same link, so `n` concurrent flows each get share
@@ -50,6 +51,14 @@ pub struct NetworkSpec {
     pub capacity: f64,
     /// Link layout: one shared backbone, or one link per cluster pair.
     pub topology: NetworkTopology,
+}
+
+impl Hash for NetworkSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let NetworkSpec { capacity, topology } = self;
+        capacity.to_bits().hash(state);
+        topology.hash(state);
+    }
 }
 
 impl NetworkSpec {

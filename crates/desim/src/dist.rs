@@ -5,6 +5,8 @@
 //! distributions resampled from a measured log. Every generator implements
 //! [`Variate`] (continuous, `f64`) and/or is a concrete discrete sampler.
 
+use std::hash::{Hash, Hasher};
+
 use crate::rng::RngStream;
 
 /// A continuous random-variate generator.
@@ -55,6 +57,13 @@ impl Variate for Exponential {
 
     fn mean(&self) -> f64 {
         1.0 / self.rate
+    }
+}
+
+impl Hash for Exponential {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Exponential { rate } = self;
+        rate.to_bits().hash(state);
     }
 }
 
@@ -179,6 +188,23 @@ impl Variate for HyperExponential {
 
     fn mean(&self) -> f64 {
         self.p * self.a.mean() + (1.0 - self.p) * self.b.mean()
+    }
+}
+
+impl Hash for HyperExponential {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let HyperExponential { p, a, b } = self;
+        p.to_bits().hash(state);
+        a.hash(state);
+        b.hash(state);
+    }
+}
+
+/// Feeds `xs` to `state` as its length and each value's bit pattern.
+fn hash_floats<H: Hasher>(xs: &[f64], state: &mut H) {
+    xs.len().hash(state);
+    for x in xs {
+        x.to_bits().hash(state);
     }
 }
 
@@ -353,6 +379,15 @@ impl Variate for EmpiricalDiscrete {
     }
 }
 
+impl Hash for EmpiricalDiscrete {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The alias tables are a function of the probabilities.
+        let EmpiricalDiscrete { values, probs, alias_prob: _, alias: _ } = self;
+        values.hash(state);
+        hash_floats(probs, state);
+    }
+}
+
 /// A continuous empirical distribution defined by a piecewise-linear CDF
 /// over bin edges — the continuous analogue used for service times
 /// resampled from a log histogram.
@@ -453,6 +488,15 @@ impl Variate for EmpiricalContinuous {
             m += mass * 0.5 * (self.edges[i] + self.edges[i + 1]);
         }
         m
+    }
+}
+
+impl Hash for EmpiricalContinuous {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The lookup table is a function of the CDF.
+        let EmpiricalContinuous { edges, cum, lookup: _ } = self;
+        hash_floats(edges, state);
+        hash_floats(cum, state);
     }
 }
 

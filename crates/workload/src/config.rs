@@ -2,6 +2,8 @@
 //! service-time distribution and wide-area extension factor, with the
 //! closed-form gross/net analysis of §4.
 
+use std::hash::{Hash, Hasher};
+
 use desim::{Duration, RngStream};
 
 use crate::arrival::rate_for_utilization;
@@ -121,6 +123,31 @@ pub struct Workload {
     /// *mean* service time is unchanged — bigger jobs run longer, as
     /// real logs often show.
     pub size_service_exponent: f64,
+}
+
+/// Hashes every field, the size and service-time tables included and
+/// every float by its bit pattern.
+impl Hash for Workload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Workload {
+            sizes,
+            service,
+            limit,
+            clusters,
+            extension,
+            spread_penalty,
+            request_kind,
+            size_service_exponent,
+        } = self;
+        sizes.hash(state);
+        service.hash(state);
+        limit.hash(state);
+        clusters.hash(state);
+        extension.to_bits().hash(state);
+        spread_penalty.to_bits().hash(state);
+        request_kind.hash(state);
+        size_service_exponent.to_bits().hash(state);
+    }
 }
 
 impl Workload {

@@ -1,6 +1,8 @@
 //! Total-job-size distributions (§2.4): DAS-s-128, DAS-s-64, or any
 //! distribution derived from a log or supplied by the user.
 
+use std::hash::{Hash, Hasher};
+
 use coalloc_trace::Trace;
 use desim::{EmpiricalDiscrete, RngStream};
 
@@ -10,6 +12,15 @@ pub struct JobSizeDist {
     name: String,
     dist: EmpiricalDiscrete,
     max: u32,
+}
+
+impl Hash for JobSizeDist {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let JobSizeDist { name, dist, max } = self;
+        name.hash(state);
+        dist.hash(state);
+        max.hash(state);
+    }
 }
 
 impl JobSizeDist {

@@ -4,6 +4,8 @@
 //! (every queue gets the same fraction) or *unbalanced* (one queue gets
 //! 40 %, the remaining three 20 % each, in the paper's 4-cluster setup).
 
+use std::hash::{Hash, Hasher};
+
 use desim::RngStream;
 
 /// A probabilistic assignment of submitted jobs to local queues.
@@ -12,6 +14,16 @@ pub struct QueueRouting {
     /// Normalized probability of each queue; cumulative form is derived
     /// on demand.
     weights: Vec<f64>,
+}
+
+impl Hash for QueueRouting {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let QueueRouting { weights } = self;
+        weights.len().hash(state);
+        for w in weights {
+            w.to_bits().hash(state);
+        }
+    }
 }
 
 impl QueueRouting {

@@ -5,6 +5,8 @@
 //! the DAS1 log cut at 900 seconds. Exponential and deterministic
 //! variants are provided for analytic validation of the simulator.
 
+use std::hash::{Hash, Hasher};
+
 use coalloc_trace::Trace;
 use desim::{Duration, EmpiricalContinuous, Exponential, HyperExponential, RngStream, Variate};
 
@@ -30,6 +32,18 @@ impl Clone for Inner {
     }
 }
 
+impl Hash for Inner {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        core::mem::discriminant(self).hash(state);
+        match self {
+            Inner::Empirical(e) => e.hash(state),
+            Inner::Exponential(e) => e.hash(state),
+            Inner::Hyper(h) => h.hash(state),
+            Inner::Deterministic(v) => v.to_bits().hash(state),
+        }
+    }
+}
+
 impl core::fmt::Debug for Inner {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -48,6 +62,17 @@ pub struct ServiceDist {
     name: String,
     inner: Inner,
     cap: Option<f64>,
+}
+
+/// Hashes the whole distribution, its table or parameters included and
+/// every float by its bit pattern.
+impl Hash for ServiceDist {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ServiceDist { name, inner, cap } = self;
+        name.hash(state);
+        inner.hash(state);
+        cap.map(f64::to_bits).hash(state);
+    }
 }
 
 impl ServiceDist {

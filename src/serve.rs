@@ -30,7 +30,9 @@
 //! `interrupt`, `disposition`, `discipline`, `estimate_factor`,
 //! `network`, `warmup`, `inject_panic`) with the same string syntax as
 //! the CLI flags. `kind: "saturation"` instead takes `lo`, `hi`,
-//! `tolerance`, and `replications` and runs the replicated bisection.
+//! `tolerance`, and `replications` and runs the replicated bisection;
+//! those four are checked first ([`validate_bisection`]), so a bad one
+//! is an `error` event naming it, not a panic.
 //!
 //! Request lifecycle controls:
 //!
@@ -80,7 +82,9 @@ use std::time::Duration;
 use coalloc_core::experiment::{
     CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
 };
-use coalloc_core::{bisect_max_utilization_cancellable_on, CoallocError, ProbePlan};
+use coalloc_core::{
+    bisect_max_utilization_cancellable_on, validate_bisection, CoallocError, ProbePlan,
+};
 
 use crate::experiments::Scale;
 use crate::scenario::ScenarioSpec;
@@ -385,6 +389,7 @@ fn handle_request(
             let plan = ProbePlan { replications: req.replications.unwrap_or(3), threads: 0 };
             let (lo, hi) = (req.lo.unwrap_or(0.3), req.hi.unwrap_or(1.2));
             let tolerance = req.tolerance.unwrap_or(0.05);
+            validate_bisection(lo, hi, tolerance, &plan)?;
             match bisect_max_utilization_cancellable_on(
                 pool,
                 spec.make_cfg(),

@@ -69,6 +69,20 @@ fn serve_reports_each_invalid_request_as_one_error_naming_the_field() {
             "warmup",
             r#"{"id":"warmup","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.3],"warmup":"8000"}"#,
         ),
+        // Saturation searches are checked before their first probe.
+        (
+            "lo",
+            r#"{"id":"lo","kind":"saturation","policy":"GS","limit":16,"lo":-1,"hi":1.2,"replications":1}"#,
+        ),
+        ("hi", r#"{"id":"hi","kind":"saturation","policy":"GS","limit":16,"lo":0.3,"hi":3}"#),
+        (
+            "tolerance",
+            r#"{"id":"tolerance","kind":"saturation","policy":"GS","limit":16,"tolerance":0}"#,
+        ),
+        (
+            "replications",
+            r#"{"id":"replications","kind":"saturation","policy":"GS","limit":16,"replications":0}"#,
+        ),
     ];
     let input: String = requests.iter().map(|(_, line)| format!("{line}\n")).collect();
     let out = run_exp(&["serve", "--threads", "2"], &input);
