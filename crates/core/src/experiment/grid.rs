@@ -142,16 +142,20 @@ impl SweepConfig {
 const MUL: u64 = 0xc6a4_a793_5bd1_e995;
 const SHIFT: u32 = 47;
 
-/// The hasher behind the digests: fixed state (no per-process keys, so
-/// a digest is the same in every process of a build — the lifetime a
-/// checkpoint, cache entry or store record has) and whole 8-byte words.
-/// Each word is mixed by multiply-and-xorshift before it enters the
-/// state, MurmurHash64A's step, so a difference anywhere in a word, a
-/// float's sign bit included, spreads over the whole state.
-struct DigestHasher(u64);
+/// The hasher behind the digests and the result store's frame checksum:
+/// fixed state (no per-process keys, so a digest is the same in every
+/// process of a build — the lifetime a checkpoint, cache entry or store
+/// record has) and whole 8-byte words. Each word is mixed by
+/// multiply-and-xorshift before it enters the state, MurmurHash64A's
+/// step, so a difference anywhere in a word, a float's sign bit
+/// included, spreads over the whole state. Every step is a bijection —
+/// of the word for a fixed state and of the state for a fixed word, and
+/// so is [`finish`](Hasher::finish) — so two inputs of one length that
+/// differ in a single word always hash differently.
+pub(crate) struct DigestHasher(u64);
 
 impl DigestHasher {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DigestHasher(0x243f_6a88_85a3_08d3)
     }
 
@@ -223,7 +227,8 @@ impl Hasher for DigestHasher {
 /// Digests are stable within a build, not across changes to the
 /// hashing. This structural hash replaced FNV-1a over the config's
 /// `Debug` text and so changed every key: the result store's segment
-/// magic moved to `COALSTO3`, so records an earlier build stored are
+/// magic moved to `COALSTO3` then (it is `COALSTO4` since the store's
+/// payloads became binary), so records an earlier build stored are
 /// recomputed once, and an earlier build's checkpoints restart on the
 /// fingerprint mismatch.
 pub fn point_digest(cfg: &SimConfig) -> u64 {

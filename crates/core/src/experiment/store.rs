@@ -12,41 +12,67 @@
 //! ## Format
 //!
 //! A store is a directory of segment files `store-<n>.seg`. Each
-//! segment starts with an 8-byte magic (`COALSTO3`) followed by framed
+//! segment starts with an 8-byte magic (`COALSTO4`) followed by framed
 //! records:
 //!
 //! ```text
-//! [u32 le payload len][u64 le FNV-1a(key ‖ payload)][u64 le digest][u64 le seed][u64 le rep][payload]
+//! [u32 le payload len][u64 le checksum(key ‖ payload)][u64 le digest][u64 le seed][u64 le rep][payload]
 //! ```
 //!
-//! where the key is the 24 header bytes after the checksum and the
-//! payload is the JSON rendering of one record (key again, plus
-//! outcome-or-failure). Appends go to a segment opened by *this*
-//! process only — a reopened store never appends after an old tail, so
-//! a damaged suffix can never corrupt the framing of later writes —
-//! and every append is handed to the operating system in one write
-//! before [`append`](ResultStore::append) returns.
+//! where the key is the 24 header bytes after the checksum. The
+//! checksum is the scenario digest's hasher
+//! ([`point_digest`](super::point_digest)'s) over key ‖ payload: their
+//! byte length, then their little-endian 8-byte words (the last one
+//! zero-padded), each mixed in by MurmurHash64A's step. Each step is a
+//! bijection, so damage confined to one word — a flipped bit, a torn
+//! byte — always changes the checksum.
+//!
+//! The payload is binary, every number little-endian:
+//!
+//! ```text
+//! [u64 digest][u64 seed][u64 rep]            the key again
+//! [u8 tag] 0 = Ok:  every field of SimOutcome
+//!          1 = Err: the failure cause, a string
+//! ```
+//!
+//! An outcome is its fields, its `MetricsReport`'s and their
+//! `Estimate`'s, in declaration order: an `f64` as its bit pattern
+//! (`to_bits`, so NaN payloads, infinities and −0.0 come back exactly),
+//! a `u64` or `usize` as a u64, a `bool` as one 0/1 byte, an `Option`
+//! as a 0/1 byte and then its value when present, a string or a vector
+//! as a u32 length and then its UTF-8 bytes or its items. Appends go to
+//! a segment opened by *this* process only — a reopened store never
+//! appends after an old tail, so a damaged suffix can never corrupt the
+//! framing of later writes — and every append is handed to the
+//! operating system in one write before
+//! [`append`](ResultStore::append) returns.
 //!
 //! ## Recovery contract
 //!
 //! [`open`](ResultStore::open) verifies every frame's length bound and
-//! checksum and indexes the key from the frame header; it parses no
-//! JSON. Recovery is sequential per segment and **drops only the
+//! checksum and indexes the key from the frame header; it decodes no
+//! payload. Recovery is sequential per segment and **drops only the
 //! damaged suffix**: a truncated tail (the process was SIGKILLed
 //! mid-append) or a bit-flipped length, checksum, key or payload byte
 //! stops the scan of that segment with a warning on stderr — every
 //! frame before the damage is kept, recovery never panics, and a
 //! zero-length file contributes nothing. A file without the current
-//! magic (a foreign file, or a segment written by an earlier format, or
-//! keyed by an earlier build's scenario digest) is ignored with a
-//! warning and deleted by the next compaction.
+//! magic (a foreign file, or a segment of an earlier format:
+//! `COALSTO3` held JSON payloads under an FNV-1a checksum, and the
+//! formats before it keyed records by an earlier scenario digest) is
+//! ignored with a warning and deleted by the next compaction, so a
+//! store an earlier build wrote is recomputed once; there is no second
+//! reader.
 //!
 //! [`get`](ResultStore::get) verifies the frame's checksum again and
-//! parses its payload. A payload that is not a record, or whose key
-//! differs from its frame header's, reads as a miss with a warning and
-//! leaves the rest of its segment served. The store is an optimization
-//! over re-running, never the source of truth, so dropping a record is
-//! always safe.
+//! decodes its payload strictly: an unknown tag or flag byte, a length
+//! longer than the bytes left, a string that is not UTF-8, trailing
+//! bytes, or a payload whose key differs from its frame header's reads
+//! as a miss with a warning and leaves the rest of its segment served.
+//! Decoding never panics, and no length is trusted before the bytes it
+//! counts are there, so a corrupt one allocates nothing. The store is
+//! an optimization over re-running, never the source of truth, so
+//! dropping a record is always safe.
 //!
 //! ## Compaction
 //!
@@ -63,11 +89,16 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::Hasher;
 use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use desim::Estimate;
+
 use super::checkpoint::unique_tmp_path;
+use super::grid::DigestHasher;
+use crate::metrics::MetricsReport;
 use crate::sim::SimOutcome;
 
 /// Key of one stored replication: `(point scenario digest, base seed,
@@ -75,9 +106,10 @@ use crate::sim::SimOutcome;
 type Key = (u64, u64, u64);
 
 /// Magic bytes opening every segment file (name + format version).
-/// Version 3 keys records by the structural scenario digest; a segment
-/// of an earlier version holds keys no lookup produces any more.
-const MAGIC: &[u8; 8] = b"COALSTO3";
+/// Version 4 stores binary payloads under the word-wise checksum; a
+/// segment of an earlier version is recomputed, not read. Any change to
+/// the frame or payload layout must bump it.
+const MAGIC: &[u8; 8] = b"COALSTO4";
 
 /// Offset of the bytes the checksum covers: the key, then the payload.
 const CHECKED_FROM: usize = 4 + 8;
@@ -90,38 +122,6 @@ const FRAME_HEADER: usize = CHECKED_FROM + 3 * 8;
 /// corrupt frame, not a real record (keeps a bit-flipped length from
 /// asking for a multi-gigabyte read).
 const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-/// One record's JSON payload: the key plus either a completed outcome
-/// or a failure cause (the cache memoizes both — a deterministic panic
-/// would only repeat).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-struct StoreRecord {
-    digest: u64,
-    seed: u64,
-    rep: u64,
-    outcome: Option<SimOutcome>,
-    cause: Option<String>,
-}
-
-impl StoreRecord {
-    fn from_result(key: Key, result: &Result<SimOutcome, String>) -> Self {
-        let (digest, seed, rep) = key;
-        match result {
-            Ok(o) => StoreRecord { digest, seed, rep, outcome: Some(o.clone()), cause: None },
-            Err(c) => StoreRecord { digest, seed, rep, outcome: None, cause: Some(c.clone()) },
-        }
-    }
-
-    fn into_result(self) -> Option<(Key, Result<SimOutcome, String>)> {
-        let key = (self.digest, self.seed, self.rep);
-        match (self.outcome, self.cause) {
-            (Some(o), None) => Some((key, Ok(o))),
-            (None, Some(c)) => Some((key, Err(c))),
-            // Neither or both: not a shape this store ever writes.
-            _ => None,
-        }
-    }
-}
 
 /// Where a live record lives on disk.
 #[derive(Clone, Copy, Debug)]
@@ -189,7 +189,7 @@ struct StoreInner {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
     /// Checksum-valid frames indexed (newest per key); their payloads
-    /// are parsed when read.
+    /// are decoded when read.
     pub live: u64,
     /// Records superseded by a newer duplicate during the scan.
     pub superseded: u64,
@@ -286,7 +286,7 @@ impl ResultStore {
     }
 
     /// Reads one record back, verifying its checksum again (the bytes
-    /// may have rotted since recovery) and parsing its payload once the
+    /// may have rotted since recovery) and decoding its payload once the
     /// store lock is released. Any damage, a payload that is not a
     /// record, or a payload of another key reads as a miss — the caller
     /// re-executes, which is always correct.
@@ -318,9 +318,18 @@ impl ResultStore {
     /// store keeps serving — durability degrades, correctness does not.
     pub fn append(&self, digest: u64, seed: u64, rep: u64, result: &Result<SimOutcome, String>) {
         let key = (digest, seed, rep);
-        let record = StoreRecord::from_result(key, result);
-        let payload = serde_json::to_string(&record).expect("store record serializes");
-        let frame = encode_frame(key, payload.as_bytes());
+        let payload = encode_payload(key, result);
+        if payload.len() > MAX_PAYLOAD as usize {
+            // Recovery would take the frame for a corrupt length and drop
+            // the rest of its segment; this record is recomputed instead.
+            eprintln!(
+                "warning: result store record of {} bytes exceeds the {MAX_PAYLOAD}-byte \
+                 bound; not stored",
+                payload.len()
+            );
+            return;
+        }
+        let frame = encode_frame(key, &payload);
         let mut inner = relock(&self.inner);
         if let Err(e) = inner.append_frame(&self.dir, key, &frame) {
             // The segment's tail is unknown now: the next append starts
@@ -446,15 +455,12 @@ fn claim_segment(dir: &Path, next: &mut u64) -> std::io::Result<(PathBuf, File)>
     }
 }
 
-/// FNV-1a over a byte string: small, dependency-free, and stable, so
-/// a frame written by one build verifies in the next.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The checksum of key ‖ payload: [`DigestHasher`] over their length
+/// and 8-byte words (see the module docs).
+fn checksum(checked: &[u8]) -> u64 {
+    let mut hasher = DigestHasher::new();
+    hasher.write(checked);
+    hasher.finish()
 }
 
 /// One frame's bytes: length, checksum, key, payload.
@@ -466,9 +472,348 @@ fn encode_frame(key: Key, payload: &[u8]) -> Vec<u8> {
         frame.extend_from_slice(&word.to_le_bytes());
     }
     frame.extend_from_slice(payload);
-    let checksum = fnv1a(&frame[CHECKED_FROM..]);
+    let checksum = checksum(&frame[CHECKED_FROM..]);
     frame[4..CHECKED_FROM].copy_from_slice(&checksum.to_le_bytes());
     frame
+}
+
+/// One record's payload: its key again, then the result (the cache
+/// memoizes failures too — a deterministic panic would only repeat).
+fn encode_payload(key: Key, result: &Result<SimOutcome, String>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(512);
+    for word in [key.0, key.1, key.2] {
+        word.put(&mut out);
+    }
+    result.put(&mut out);
+    out
+}
+
+/// Decodes a payload [`encode_payload`] wrote for `key`. Strict: a
+/// payload of another key, or one that [`Field::take`] rejects or that
+/// has bytes left over, is an error.
+fn decode_payload(mut input: &[u8], key: Key) -> Result<Result<SimOutcome, String>, String> {
+    let input = &mut input;
+    let stored: Key = (Field::take(input)?, Field::take(input)?, Field::take(input)?);
+    if stored != key {
+        return Err(format!("payload holds key {stored:?}, not the frame's"));
+    }
+    let result = Field::take(input)?;
+    if !input.is_empty() {
+        return Err(format!("{} bytes trail the record", input.len()));
+    }
+    Ok(result)
+}
+
+/// A value with a fixed binary encoding in a payload (layout in the
+/// module docs). `take` reads one value off the front of `input` and
+/// fails, without panicking, on bytes no `put` writes.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str>;
+}
+
+/// The next `n` bytes of `input`, if that many are left.
+fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], &'static str> {
+    let (head, rest) = input.split_at_checked(n).ok_or("a length runs past the payload")?;
+    *input = rest;
+    Ok(head)
+}
+
+/// Writes a string's or vector's length. One longer than `u32::MAX`
+/// makes the payload longer than [`MAX_PAYLOAD`], which is never stored.
+fn put_len(len: usize, out: &mut Vec<u8>) {
+    u32::try_from(len).unwrap_or(u32::MAX).put(out);
+}
+
+impl Field for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        let (&byte, rest) = input.split_first().ok_or("the payload ends early")?;
+        *input = rest;
+        Ok(byte)
+    }
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        let (head, rest) = input.split_first_chunk().ok_or("the payload ends early")?;
+        *input = rest;
+        Ok(u32::from_le_bytes(*head))
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        let (head, rest) = input.split_first_chunk().ok_or("the payload ends early")?;
+        *input = rest;
+        Ok(u64::from_le_bytes(*head))
+    }
+}
+
+impl Field for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        usize::try_from(u64::take(input)?).map_err(|_| "a count exceeds usize")
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        u64::take(input).map(f64::from_bits)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        match u8::take(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err("a flag byte is neither 0 nor 1"),
+        }
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        if bool::take(input)? {
+            T::take(input).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        let len = u32::take(input)? as usize;
+        let bytes = take_bytes(input, len)?;
+        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| "a string is not UTF-8")
+    }
+}
+
+impl Field for Vec<f64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for x in self {
+            x.put(out);
+        }
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        let len = u32::take(input)? as usize;
+        // The items' bytes must all be there before anything is
+        // allocated for them.
+        let size = len.checked_mul(8).ok_or("a length runs past the payload")?;
+        let mut items = take_bytes(input, size)?;
+        (0..len).map(|_| f64::take(&mut items)).collect()
+    }
+}
+
+impl Field for Result<SimOutcome, String> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(outcome) => {
+                0u8.put(out);
+                outcome.put(out);
+            }
+            Err(cause) => {
+                1u8.put(out);
+                cause.put(out);
+            }
+        }
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        match u8::take(input)? {
+            0 => SimOutcome::take(input).map(Ok),
+            1 => String::take(input).map(Err),
+            _ => Err("unknown result tag"),
+        }
+    }
+}
+
+// The struct codecs destructure without `..` and decode by name, so a
+// new field fails to compile until the codec carries it; decoding must
+// name the fields in declaration order, the order they were written.
+
+impl Field for Estimate {
+    fn put(&self, out: &mut Vec<u8>) {
+        let Estimate { mean, half_width, n } = self;
+        mean.put(out);
+        half_width.put(out);
+        n.put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        Ok(Estimate {
+            mean: Field::take(input)?,
+            half_width: Field::take(input)?,
+            n: Field::take(input)?,
+        })
+    }
+}
+
+impl Field for MetricsReport {
+    fn put(&self, out: &mut Vec<u8>) {
+        let MetricsReport {
+            response,
+            mean_response,
+            max_response,
+            response_local,
+            response_global,
+            response_single,
+            response_multi,
+            response_per_queue,
+            mean_wait,
+            response_by_size,
+            median_response,
+            p95_response,
+            mean_jobs_in_system,
+            mean_queue_length,
+            throughput,
+            gross_utilization,
+            net_utilization,
+            departures,
+            window_seconds,
+            availability,
+            interruptions,
+            wasted_processor_seconds,
+            achieved_extension,
+            mean_active_flows,
+        } = self;
+        response.put(out);
+        mean_response.put(out);
+        max_response.put(out);
+        response_local.put(out);
+        response_global.put(out);
+        response_single.put(out);
+        response_multi.put(out);
+        response_per_queue.put(out);
+        mean_wait.put(out);
+        response_by_size.put(out);
+        median_response.put(out);
+        p95_response.put(out);
+        mean_jobs_in_system.put(out);
+        mean_queue_length.put(out);
+        throughput.put(out);
+        gross_utilization.put(out);
+        net_utilization.put(out);
+        departures.put(out);
+        window_seconds.put(out);
+        availability.put(out);
+        interruptions.put(out);
+        wasted_processor_seconds.put(out);
+        achieved_extension.put(out);
+        mean_active_flows.put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        Ok(MetricsReport {
+            response: Field::take(input)?,
+            mean_response: Field::take(input)?,
+            max_response: Field::take(input)?,
+            response_local: Field::take(input)?,
+            response_global: Field::take(input)?,
+            response_single: Field::take(input)?,
+            response_multi: Field::take(input)?,
+            response_per_queue: Field::take(input)?,
+            mean_wait: Field::take(input)?,
+            response_by_size: Field::take(input)?,
+            median_response: Field::take(input)?,
+            p95_response: Field::take(input)?,
+            mean_jobs_in_system: Field::take(input)?,
+            mean_queue_length: Field::take(input)?,
+            throughput: Field::take(input)?,
+            gross_utilization: Field::take(input)?,
+            net_utilization: Field::take(input)?,
+            departures: Field::take(input)?,
+            window_seconds: Field::take(input)?,
+            availability: Field::take(input)?,
+            interruptions: Field::take(input)?,
+            wasted_processor_seconds: Field::take(input)?,
+            achieved_extension: Field::take(input)?,
+            mean_active_flows: Field::take(input)?,
+        })
+    }
+}
+
+impl Field for SimOutcome {
+    fn put(&self, out: &mut Vec<u8>) {
+        let SimOutcome {
+            policy,
+            offered_gross_utilization,
+            metrics,
+            arrivals,
+            completed,
+            residual_queued,
+            backlog_at_last_arrival,
+            peak_backlog,
+            saturated,
+            end_time,
+            response_series,
+        } = self;
+        policy.put(out);
+        offered_gross_utilization.put(out);
+        metrics.put(out);
+        arrivals.put(out);
+        completed.put(out);
+        residual_queued.put(out);
+        backlog_at_last_arrival.put(out);
+        peak_backlog.put(out);
+        saturated.put(out);
+        end_time.put(out);
+        response_series.put(out);
+    }
+
+    fn take(input: &mut &[u8]) -> Result<Self, &'static str> {
+        Ok(SimOutcome {
+            policy: Field::take(input)?,
+            offered_gross_utilization: Field::take(input)?,
+            metrics: Field::take(input)?,
+            arrivals: Field::take(input)?,
+            completed: Field::take(input)?,
+            residual_queued: Field::take(input)?,
+            backlog_at_last_arrival: Field::take(input)?,
+            peak_backlog: Field::take(input)?,
+            saturated: Field::take(input)?,
+            end_time: Field::take(input)?,
+            response_series: Field::take(input)?,
+        })
+    }
 }
 
 /// Checks the frame at the head of `bytes` without reading its
@@ -483,13 +828,13 @@ fn check_frame(bytes: &[u8]) -> Option<(Key, usize)> {
         return None;
     }
     let end = FRAME_HEADER + len as usize;
-    if fnv1a(bytes.get(CHECKED_FROM..end)?) != word(4) {
+    if checksum(bytes.get(CHECKED_FROM..end)?) != word(4) {
         return None;
     }
     Some(((word(12), word(20), word(28)), end))
 }
 
-/// Verifies a frame re-read for `key` and parses its payload: the
+/// Verifies a frame re-read for `key` and decodes its payload: the
 /// checksum must match, the header must carry `key`, and the payload
 /// must be a record of that same key.
 fn decode_record(frame: &[u8], key: Key) -> Result<Result<SimOutcome, String>, String> {
@@ -498,13 +843,7 @@ fn decode_record(frame: &[u8], key: Key) -> Result<Result<SimOutcome, String>, S
         Some(_) => return Err("frame header carries another key".into()),
         None => return Err("corrupt frame".into()),
     }
-    let payload = std::str::from_utf8(&frame[FRAME_HEADER..]).map_err(|e| e.to_string())?;
-    let record: StoreRecord = serde_json::from_str(payload).map_err(|e| e.to_string())?;
-    match record.into_result() {
-        Some((k, result)) if k == key => Ok(result),
-        Some((k, _)) => Err(format!("payload holds key {k:?}, not the frame's")),
-        None => Err("payload is not a store record".into()),
-    }
+    decode_payload(&frame[FRAME_HEADER..], key)
 }
 
 /// Scans one segment into the index, newest record winning. Returns the
@@ -564,6 +903,7 @@ mod tests {
     use crate::experiment::pool::execute_isolated;
     use crate::policy::PolicyKind;
     use crate::sim::SimConfig;
+    use proptest::prelude::*;
 
     fn temp_store_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("coalloc-store-{tag}-{}", std::process::id()));
@@ -764,8 +1104,7 @@ mod tests {
 
     /// A checksum-valid frame whose payload is the record of `payload_key`.
     fn record_frame(header_key: Key, payload_key: Key, cause: &str) -> Vec<u8> {
-        let record = StoreRecord::from_result(payload_key, &Err(cause.into()));
-        encode_frame(header_key, serde_json::to_string(&record).expect("encodes").as_bytes())
+        encode_frame(header_key, &encode_payload(payload_key, &Err(cause.into())))
     }
 
     #[test]
@@ -801,10 +1140,11 @@ mod tests {
     fn a_segment_of_the_previous_format_is_ignored_and_compacted_away() {
         let dir = temp_store_dir("old-magic");
         std::fs::create_dir_all(&dir).expect("dir");
-        // `COALSTO2` framing is this format's; its keys are digests of
-        // the config's `Debug` text, which no lookup produces any more.
-        let mut old = b"COALSTO2".to_vec();
-        old.extend_from_slice(&record_frame((1, 2, 0), (1, 2, 0), "v2"));
+        // `COALSTO3` held JSON payloads under an FNV-1a checksum. The
+        // frame here is even this format's: the magic alone turns the
+        // segment away.
+        let mut old = b"COALSTO3".to_vec();
+        old.extend_from_slice(&record_frame((1, 2, 0), (1, 2, 0), "v3"));
         let old_path = dir.join("store-000000.seg");
         std::fs::write(&old_path, &old).expect("old segment");
 
@@ -812,7 +1152,7 @@ mod tests {
         assert_eq!(store.recovery().damaged_segments, 1);
         assert!(store.is_empty());
         assert!(store.get(1, 2, 0).is_none(), "an old record is recomputed, not read");
-        store.append(1, 2, 0, &Err("v3".into()));
+        store.append(1, 2, 0, &Err("v4".into()));
         assert_eq!(segment_files(&dir).len(), 2, "the append opened a fresh segment");
         assert_eq!(std::fs::read(&old_path).expect("old segment stays"), old);
 
@@ -823,7 +1163,7 @@ mod tests {
         drop(store);
         let reopened = ResultStore::open(&dir).expect("store reopens");
         assert_eq!(reopened.recovery().damaged_segments, 0);
-        assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v3".into()));
+        assert_eq!(stored_err(&reopened, 1, 2, 0), Some("v4".into()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -891,5 +1231,343 @@ mod tests {
         assert_eq!(stored_err(&reopened, 1, 0, 0), Some("first".into()));
         assert_eq!(stored_err(&reopened, 2, 0, 0), Some("second".into()));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Floats a payload must carry bit for bit: the special values, NaN
+    /// and infinity bit patterns with random payloads and signs, and
+    /// arbitrary bit patterns.
+    fn any_f64(rng: &mut TestRng) -> f64 {
+        const SPECIAL: [f64; 6] =
+            [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        match rng.below(4) {
+            0 => SPECIAL[rng.below(SPECIAL.len() as u64) as usize],
+            1 => f64::from_bits(0x7ff0_0000_0000_0000 | rng.next_u64()),
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// Empty, short and long vectors.
+    fn any_vec(rng: &mut TestRng) -> Vec<f64> {
+        let len = match rng.below(3) {
+            0 => 0,
+            1 => rng.below(8),
+            _ => rng.below(5_000),
+        };
+        (0..len).map(|_| any_f64(rng)).collect()
+    }
+
+    /// Strings of one- to four-byte UTF-8 characters, empty ones included.
+    fn any_string(rng: &mut TestRng) -> String {
+        const CHARS: [char; 6] = ['G', 'S', 'é', 'ß', '漢', '🦀'];
+        (0..rng.below(24)).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize]).collect()
+    }
+
+    fn any_option(rng: &mut TestRng) -> Option<f64> {
+        (rng.below(2) == 1).then(|| any_f64(rng))
+    }
+
+    /// Arbitrary results a store may hold: mostly outcomes, some causes.
+    struct AnyResult;
+
+    impl Strategy for AnyResult {
+        type Value = Result<SimOutcome, String>;
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            if rng.below(5) == 0 {
+                return Err(any_string(rng));
+            }
+            let metrics = MetricsReport {
+                response: Estimate {
+                    mean: any_f64(rng),
+                    half_width: any_f64(rng),
+                    n: rng.next_u64(),
+                },
+                mean_response: any_f64(rng),
+                max_response: any_f64(rng),
+                response_local: any_option(rng),
+                response_global: any_option(rng),
+                response_single: any_f64(rng),
+                response_multi: any_f64(rng),
+                response_per_queue: any_vec(rng),
+                mean_wait: any_f64(rng),
+                response_by_size: any_vec(rng),
+                median_response: any_f64(rng),
+                p95_response: any_f64(rng),
+                mean_jobs_in_system: any_f64(rng),
+                mean_queue_length: any_f64(rng),
+                throughput: any_f64(rng),
+                gross_utilization: any_f64(rng),
+                net_utilization: any_f64(rng),
+                departures: rng.next_u64(),
+                window_seconds: any_f64(rng),
+                availability: any_f64(rng),
+                interruptions: rng.next_u64(),
+                wasted_processor_seconds: any_f64(rng),
+                achieved_extension: any_f64(rng),
+                mean_active_flows: any_f64(rng),
+            };
+            Ok(SimOutcome {
+                policy: any_string(rng),
+                offered_gross_utilization: any_f64(rng),
+                metrics,
+                arrivals: rng.next_u64(),
+                completed: rng.next_u64(),
+                residual_queued: rng.next_u64() as usize,
+                backlog_at_last_arrival: rng.next_u64() as usize,
+                peak_backlog: rng.next_u64() as usize,
+                saturated: rng.below(2) == 1,
+                end_time: any_f64(rng),
+                response_series: any_vec(rng),
+            })
+        }
+    }
+
+    /// Every value of a result as words, floats by bit pattern (so a
+    /// NaN's payload and a zero's sign count), listed field by field
+    /// apart from the codec.
+    fn words(result: &Result<SimOutcome, String>) -> Vec<u64> {
+        let text = |s: &str| {
+            let mut w = vec![s.len() as u64];
+            w.extend(s.bytes().map(u64::from));
+            w
+        };
+        let floats = |xs: &[f64]| {
+            let mut w = vec![xs.len() as u64];
+            w.extend(xs.iter().map(|x| x.to_bits()));
+            w
+        };
+        let option = |x: &Option<f64>| x.map_or(vec![0], |x| vec![1, x.to_bits()]);
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            Err(cause) => return [vec![1], text(cause)].concat(),
+        };
+        let SimOutcome {
+            policy,
+            offered_gross_utilization,
+            metrics,
+            arrivals,
+            completed,
+            residual_queued,
+            backlog_at_last_arrival,
+            peak_backlog,
+            saturated,
+            end_time,
+            response_series,
+        } = outcome;
+        let MetricsReport {
+            response,
+            mean_response,
+            max_response,
+            response_local,
+            response_global,
+            response_single,
+            response_multi,
+            response_per_queue,
+            mean_wait,
+            response_by_size,
+            median_response,
+            p95_response,
+            mean_jobs_in_system,
+            mean_queue_length,
+            throughput,
+            gross_utilization,
+            net_utilization,
+            departures,
+            window_seconds,
+            availability,
+            interruptions,
+            wasted_processor_seconds,
+            achieved_extension,
+            mean_active_flows,
+        } = metrics;
+        let Estimate { mean, half_width, n } = response;
+        let scalars = [
+            offered_gross_utilization,
+            mean,
+            half_width,
+            mean_response,
+            max_response,
+            response_single,
+            response_multi,
+            mean_wait,
+            median_response,
+            p95_response,
+            mean_jobs_in_system,
+            mean_queue_length,
+            throughput,
+            gross_utilization,
+            net_utilization,
+            window_seconds,
+            availability,
+            wasted_processor_seconds,
+            achieved_extension,
+            mean_active_flows,
+            end_time,
+        ];
+        let counts = [
+            *n,
+            *departures,
+            *interruptions,
+            *arrivals,
+            *completed,
+            *residual_queued as u64,
+            *backlog_at_last_arrival as u64,
+            *peak_backlog as u64,
+            u64::from(*saturated),
+        ];
+        [
+            vec![0],
+            text(policy),
+            scalars.iter().map(|x| x.to_bits()).collect(),
+            counts.to_vec(),
+            option(response_local),
+            option(response_global),
+            floats(response_per_queue),
+            floats(response_by_size),
+            floats(response_series),
+        ]
+        .concat()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn payloads_round_trip_bit_for_bit(result in AnyResult, digest in any::<u64>()) {
+            let key = (digest, 2003, 7);
+            let payload = encode_payload(key, &result);
+            let back = decode_payload(&payload, key);
+            prop_assert!(back.is_ok(), "{:?}", back.err());
+            let back = back.expect("checked above");
+            prop_assert_eq!(words(&back), words(&result));
+            // A payload of one key is no record of another.
+            prop_assert!(decode_payload(&payload, (digest ^ 1, 2003, 7)).is_err());
+        }
+    }
+
+    #[test]
+    fn truncated_extended_corrupt_and_random_payloads_are_misses() {
+        let key = (3, 5, 7);
+        let payload = encode_payload(key, &outcome(7));
+        assert!(decode_payload(&payload, key).is_ok());
+        for end in 0..payload.len() {
+            assert!(decode_payload(&payload[..end], key).is_err(), "a payload cut at byte {end}");
+        }
+        let extended = [&payload[..], &[0]].concat();
+        assert!(decode_payload(&extended, key).is_err(), "a trailing byte");
+
+        // After the key: the result tag, the policy's length and bytes
+        // ("GS"); the payload ends with the empty response series' length.
+        let corrupt = |at: usize, bytes: &[u8]| {
+            let mut bad = payload.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            decode_payload(&bad, key).err()
+        };
+        let end = payload.len();
+        assert_eq!(corrupt(24, &[2]).as_deref(), Some("unknown result tag"));
+        assert_eq!(corrupt(29, &[0xff]).as_deref(), Some("a string is not UTF-8"));
+        // Lengths far beyond the payload are refused before anything is
+        // allocated for them.
+        let too_long = Some("a length runs past the payload");
+        assert_eq!(corrupt(25, &u32::MAX.to_le_bytes()).as_deref(), too_long);
+        assert_eq!(corrupt(end - 4, &u32::MAX.to_le_bytes()).as_deref(), too_long);
+
+        // Random bytes, alone and after a valid key and `Ok` tag.
+        let mut rng = TestRng::new(2003);
+        for _ in 0..2_000 {
+            let noise: Vec<u8> = (0..rng.below(600)).map(|_| rng.next_u64() as u8).collect();
+            assert!(decode_payload(&noise, key).is_err());
+            assert!(decode_payload(&[&payload[..25], &noise].concat(), key).is_err());
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_caught_at_open() {
+        let dir = temp_store_dir("every-flip");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("store-000000.seg");
+        let key = (3, 5, 7);
+        let mut bytes = segment_of(&[encode_frame(key, &encode_payload(key, &outcome(7)))]);
+        for bit in MAGIC.len() * 8..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).expect("segment");
+            let store = ResultStore::open(&dir).expect("recovery never fails");
+            assert!(store.is_empty(), "a flip of bit {bit} went unnoticed");
+            assert_eq!(store.recovery().damaged_segments, 1);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        std::fs::write(&path, &bytes).expect("segment");
+        let store = ResultStore::open(&dir).expect("store opens");
+        assert!(store.get(3, 5, 7).is_some(), "the unflipped frame reads back");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An outcome with a distinct value in every field.
+    fn fixed_outcome() -> SimOutcome {
+        SimOutcome {
+            policy: "GS".into(),
+            offered_gross_utilization: 0.5,
+            metrics: MetricsReport {
+                response: Estimate { mean: 1.0, half_width: f64::INFINITY, n: 2 },
+                mean_response: 3.0,
+                max_response: 4.0,
+                response_local: None,
+                response_global: Some(5.0),
+                response_single: 6.0,
+                response_multi: 7.0,
+                response_per_queue: vec![8.0],
+                mean_wait: 9.0,
+                response_by_size: vec![10.0, -0.0],
+                median_response: 11.0,
+                p95_response: 12.0,
+                mean_jobs_in_system: 13.0,
+                mean_queue_length: 14.0,
+                throughput: 15.0,
+                gross_utilization: 16.0,
+                net_utilization: 17.0,
+                departures: 18,
+                window_seconds: 19.0,
+                availability: 20.0,
+                interruptions: 21,
+                wasted_processor_seconds: 22.0,
+                achieved_extension: 23.0,
+                mean_active_flows: 24.0,
+            },
+            arrivals: 25,
+            completed: 26,
+            residual_queued: 27,
+            backlog_at_last_arrival: 28,
+            peak_backlog: 29,
+            saturated: true,
+            end_time: f64::NAN,
+            response_series: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn the_frame_layout_is_pinned() {
+        let key = (1, 2, 3);
+        let frame = encode_frame(key, &encode_payload(key, &Ok(fixed_outcome())));
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        // The header (length, checksum, key), then the payload.
+        let golden = concat!(
+            "360100007bda5caf5ec322ce",
+            "010000000000000002000000000000000300000000000000",
+            "0100000000000000020000000000000003000000000000000002000000475300",
+            "0000000000e03f000000000000f03f000000000000f07f020000000000000000",
+            "0000000000084000000000000010400001000000000000144000000000000018",
+            "400000000000001c400100000000000000000020400000000000002240020000",
+            "0000000000000024400000000000000080000000000000264000000000000028",
+            "400000000000002a400000000000002c400000000000002e4000000000000030",
+            "4000000000000031401200000000000000000000000000334000000000000034",
+            "4015000000000000000000000000003640000000000000374000000000000038",
+            "4019000000000000001a000000000000001b000000000000001c000000000000",
+            "001d0000000000000001000000000000f87f00000000",
+        );
+        assert_eq!(
+            hex, golden,
+            "the frame layout changed; a layout change must bump MAGIC, so that stores \
+             of the old layout are recomputed instead of misread"
+        );
     }
 }

@@ -66,8 +66,8 @@ pub use policy::{
 pub use queue::QueueDiscipline;
 pub use saturation::{
     bisect_max_utilization, bisect_max_utilization_cancellable_on, bisect_max_utilization_on,
-    bisect_max_utilization_replicated, maximal_utilization, validate_bisection, ProbePlan,
-    SaturationConfig, SaturationResult,
+    bisect_max_utilization_replicated, maximal_utilization, validate_bisection, BisectionError,
+    ProbePlan, SaturationConfig, SaturationResult,
 };
 pub use sim::{
     mean_response, NetworkSpec, NetworkTopology, OccupancyModel, Session, SimBuilder, SimConfig,

@@ -18,6 +18,7 @@ use coalloc_workload::{QueueRouting, Workload};
 use desim::RngStream;
 
 use crate::error::{ensure, ConfigError};
+use crate::experiment::CancelReason;
 use crate::feed::BacklogFeed;
 use crate::placement::PlacementRule;
 use crate::policy::PolicyKind;
@@ -159,7 +160,7 @@ impl ProbePlan {
         make_cfg: &F,
         util: f64,
         cancel: Option<&crate::experiment::CancelToken>,
-    ) -> Result<bool, crate::experiment::CancelReason>
+    ) -> Result<bool, CancelReason>
     where
         F: Fn(f64) -> crate::sim::SimConfig,
     {
@@ -179,7 +180,7 @@ impl ProbePlan {
                 None => {
                     return Err(cancel
                         .and_then(crate::experiment::CancelToken::state)
-                        .unwrap_or(crate::experiment::CancelReason::Cancelled))
+                        .unwrap_or(CancelReason::Cancelled))
                 }
             }
         }
@@ -188,10 +189,32 @@ impl ProbePlan {
     }
 }
 
+/// Why [`bisect_max_utilization_cancellable_on`] returned no boundary.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BisectionError {
+    /// The search cannot run: an input [`validate_bisection`] rejects,
+    /// or bounds that do not bracket the saturation threshold (the error
+    /// names `lo` or `hi`).
+    Config(ConfigError),
+    /// The token fired before the search finished.
+    Cancelled(CancelReason),
+}
+
+impl From<ConfigError> for BisectionError {
+    fn from(e: ConfigError) -> Self {
+        BisectionError::Config(e)
+    }
+}
+
+impl From<CancelReason> for BisectionError {
+    fn from(reason: CancelReason) -> Self {
+        BisectionError::Cancelled(reason)
+    }
+}
+
 /// Checks a bisection's search inputs: bounds with `0 < lo < hi <= 2`,
 /// a positive, finite tolerance, and at least one probe replication.
-/// The bisection panics with the returned error's message; front ends
-/// call this first and report it.
+/// The bisection runs this check before its first probe.
 pub fn validate_bisection(
     lo: f64,
     hi: f64,
@@ -282,19 +305,25 @@ pub fn bisect_max_utilization_on<F>(
 where
     F: Fn(f64) -> crate::sim::SimConfig,
 {
-    bisect_max_utilization_cancellable_on(pool, make_cfg, lo, hi, tolerance, plan, None)
-        .expect("searches without a token never cancel")
+    match bisect_max_utilization_cancellable_on(pool, make_cfg, lo, hi, tolerance, plan, None) {
+        Ok(max) => max,
+        Err(BisectionError::Config(e)) => panic!("{e}"),
+        Err(BisectionError::Cancelled(_)) => unreachable!("searches without a token never cancel"),
+    }
 }
 
 /// [`bisect_max_utilization_on`] under a cooperative
 /// [`crate::experiment::CancelToken`], checked between probes (and
 /// between a probe's replications, inside the pool): once the token
-/// fires the search returns `Err(CancelReason)` instead of a boundary.
-/// A later uncancelled search re-probes from scratch and lands on the
-/// same deterministic answer.
+/// fires the search returns [`BisectionError::Cancelled`] instead of a
+/// boundary. A later uncancelled search re-probes from scratch and lands
+/// on the same deterministic answer.
 ///
-/// # Panics
-/// Same bracket requirements as [`bisect_max_utilization_replicated`].
+/// # Errors
+/// [`BisectionError::Config`] for inputs [`validate_bisection`] rejects
+/// (before any probe) and for bounds that do not bracket the threshold:
+/// a saturated `lo` or a stable `hi`, the error naming that bound. The
+/// other `bisect_*` entry points panic with the error's message.
 pub fn bisect_max_utilization_cancellable_on<F>(
     pool: &crate::experiment::WorkerPool,
     make_cfg: F,
@@ -303,22 +332,27 @@ pub fn bisect_max_utilization_cancellable_on<F>(
     tolerance: f64,
     plan: &ProbePlan,
     cancel: Option<&crate::experiment::CancelToken>,
-) -> Result<f64, crate::experiment::CancelReason>
+) -> Result<f64, BisectionError>
 where
     F: Fn(f64) -> crate::sim::SimConfig,
 {
-    validate_bisection(lo, hi, tolerance, plan).unwrap_or_else(|e| panic!("{e}"));
+    validate_bisection(lo, hi, tolerance, plan)?;
     // The bounds must bracket the threshold. These probes are the
-    // price of a trustworthy answer; a debug_assert! would vanish in
-    // release builds, where all real searches run.
-    assert!(
+    // price of a trustworthy answer, checked in release builds too,
+    // where all real searches run.
+    ensure(
         !plan.saturated_cancellable(pool, &make_cfg, lo, cancel)?,
-        "bisection bracket invalid: lo = {lo} is already saturated; lower lo"
-    );
-    assert!(
+        "lo",
+        format_args!("bisection bracket invalid: lo = {lo} is already saturated; lower lo"),
+    )?;
+    ensure(
         plan.saturated_cancellable(pool, &make_cfg, hi, cancel)?,
-        "bisection bracket invalid: hi = {hi} is still stable; the saturation point lies above hi"
-    );
+        "hi",
+        format_args!(
+            "bisection bracket invalid: hi = {hi} is still stable; the saturation point lies \
+             above hi"
+        ),
+    )?;
     while hi - lo > tolerance {
         let mid = 0.5 * (lo + hi);
         if plan.saturated_cancellable(pool, &make_cfg, mid, cancel)? {

@@ -26,9 +26,12 @@ impl Hash for JobSizeDist {
 impl JobSizeDist {
     /// The paper's **DAS-s-128** distribution: the job-size distribution
     /// of the (synthetic) DAS1 log of the largest, 128-processor cluster.
+    /// Its table and alias tables are built once and cloned.
     pub fn das_s_128() -> Self {
-        let pmf = coalloc_trace::das1_size_pmf();
-        JobSizeDist::custom("DAS-s-128", &pmf)
+        static CACHE: std::sync::OnceLock<JobSizeDist> = std::sync::OnceLock::new();
+        CACHE
+            .get_or_init(|| JobSizeDist::custom("DAS-s-128", &coalloc_trace::das1_size_pmf()))
+            .clone()
     }
 
     /// The paper's **DAS-s-64** distribution: DAS-s-128 cut at 64
@@ -154,6 +157,24 @@ mod tests {
         // The paper's log has mean around two dozen processors.
         let m = d.mean();
         assert!(m > 15.0 && m < 35.0, "mean {m}");
+    }
+
+    #[test]
+    fn the_cached_das_s_128_equals_a_fresh_build() {
+        let cached = JobSizeDist::das_s_128();
+        let fresh = JobSizeDist::custom("DAS-s-128", &coalloc_trace::das1_size_pmf());
+        let hash = |d: &JobSizeDist| {
+            let mut state = std::hash::DefaultHasher::new();
+            d.hash(&mut state);
+            state.finish()
+        };
+        assert_eq!(hash(&cached), hash(&fresh));
+        assert_eq!(hash(&JobSizeDist::das_s_128()), hash(&fresh), "a second call too");
+        let draws = |d: &JobSizeDist| {
+            let mut rng = RngStream::new(2003);
+            (0..10_000).map(|_| d.sample(&mut rng)).collect::<Vec<u32>>()
+        };
+        assert_eq!(draws(&cached), draws(&fresh));
     }
 
     #[test]

@@ -31,8 +31,11 @@
 //! `network`, `warmup`, `inject_panic`) with the same string syntax as
 //! the CLI flags. `kind: "saturation"` instead takes `lo`, `hi`,
 //! `tolerance`, and `replications` and runs the replicated bisection;
-//! those four are checked first ([`validate_bisection`]), so a bad one
-//! is an `error` event naming it, not a panic.
+//! those four are checked before the first probe
+//! ([`validate_bisection`](coalloc_core::validate_bisection)), and the
+//! first two probes check that `lo` is stable and `hi` saturated, so a
+//! bad value or a bracket that misses the threshold is an `error` event
+//! naming the field, not a panic.
 //!
 //! Request lifecycle controls:
 //!
@@ -83,7 +86,7 @@ use coalloc_core::experiment::{
     CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
 };
 use coalloc_core::{
-    bisect_max_utilization_cancellable_on, validate_bisection, CoallocError, ProbePlan,
+    bisect_max_utilization_cancellable_on, BisectionError, CoallocError, ProbePlan,
 };
 
 use crate::experiments::Scale;
@@ -389,7 +392,6 @@ fn handle_request(
             let plan = ProbePlan { replications: req.replications.unwrap_or(3), threads: 0 };
             let (lo, hi) = (req.lo.unwrap_or(0.3), req.hi.unwrap_or(1.2));
             let tolerance = req.tolerance.unwrap_or(0.05);
-            validate_bisection(lo, hi, tolerance, &plan)?;
             match bisect_max_utilization_cancellable_on(
                 pool,
                 spec.make_cfg(),
@@ -408,7 +410,8 @@ fn handle_request(
                     send(tx, serde_json::to_string(&ev).expect("saturation result serializes"));
                     Ok(None)
                 }
-                Err(reason) => {
+                Err(BisectionError::Config(e)) => Err(e.into()),
+                Err(BisectionError::Cancelled(reason)) => {
                     lifecycle_event(tx, id, reason.label());
                     Ok(Some(reason))
                 }
@@ -452,8 +455,8 @@ pub fn serve<R: BufRead, W: Write + Send + 'static>(
 ///
 /// Every request — including a line that is not valid JSON — produces
 /// at least one event; failures are per-request `error` events, never a
-/// dead daemon. Panics inside a request handler (an invalid bisection
-/// bracket, a configuration bug) are caught and reported the same way.
+/// dead daemon. Panics inside a request handler (a configuration bug)
+/// are caught and reported the same way.
 /// The one fatal failure is the output side dying (broken pipe): the
 /// daemon stops accepting requests, cancels in-flight work, drains, and
 /// returns the write error so the process can exit nonzero.
@@ -716,10 +719,10 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_bisection_bracket_reports_and_the_daemon_survives() {
+    fn an_invalid_bisection_bracket_reports_and_the_daemon_survives() {
         let input = concat!(
-            // Both brackets stable: the bisection asserts, the handler
-            // catches, the daemon answers the next request.
+            // Both brackets stable: the bisection returns an error naming
+            // `hi`, and the daemon answers the next request.
             r#"{"id":"sat","kind":"saturation","policy":"GS","limit":16,"lo":0.05,"hi":0.1,"replications":1}"#,
             "\n",
             r#"{"id":"after","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.2],"min_reps":1,"max_reps":1}"#,
@@ -732,7 +735,9 @@ mod tests {
             .find(|e| str_field(e, "event") == "error")
             .expect("bracket failure reported");
         assert_eq!(str_field(err, "id"), "sat");
-        assert!(str_field(err, "error").contains("still stable"));
+        let error = str_field(err, "error");
+        assert!(error.starts_with("invalid hi: ") && error.contains("still stable"), "{error}");
+        assert!(!error.contains("panicked"), "{error}");
         assert!(events
             .iter()
             .any(|e| str_field(e, "event") == "result" && str_field(e, "id") == "after"));

@@ -1,9 +1,10 @@
 //! Process-level tests of the `coalloc-exp` argument contract: a bad
 //! argument or a scenario no run can execute is a typed error (exit 2
-//! on the command line, one `error` event in `serve`), never a panic and
-//! never a sweep whose every replication fails; `--inject-panic` still
-//! fails only inside its point's replications; and `runjson` runs
-//! exactly the config `ScenarioSpec` builds.
+//! on the command line, one `error` event in `serve`), never a panic (a
+//! saturation bracket that misses the threshold included) and never a
+//! sweep whose every replication fails; `--inject-panic` still fails
+//! only inside its point's replications; and `runjson` runs exactly the
+//! config `ScenarioSpec` builds.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -97,6 +98,35 @@ fn serve_reports_each_invalid_request_as_one_error_naming_the_field() {
         let error = event.split("\"error\":").nth(1).expect("error text");
         assert!(error.contains(field), "the error names `{field}`: {event}");
         assert!(!error.contains("request panicked"), "{event}");
+    }
+}
+
+#[test]
+fn serve_reports_a_bracket_that_misses_the_threshold_as_one_error_naming_the_bound() {
+    let requests = [
+        // Both bounds stable: the search would converge to `hi`.
+        (
+            "hi",
+            r#"{"id":"hi","kind":"saturation","policy":"GS","limit":16,"lo":0.05,"hi":0.1,"replications":1}"#,
+        ),
+        // Both bounds saturated.
+        (
+            "lo",
+            r#"{"id":"lo","kind":"saturation","policy":"GS","limit":16,"lo":1.5,"hi":1.8,"replications":1}"#,
+        ),
+    ];
+    let input: String = requests.iter().map(|(_, line)| format!("{line}\n")).collect();
+    let out = run_exp(&["serve", "--threads", "2"], &input);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert!(out.status.success(), "serve exits 0:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "no panic reaches stderr:\n{stderr}");
+    for (field, _) in requests {
+        let tag = format!("\"id\":\"{field}\"");
+        let events: Vec<&str> = stdout.lines().filter(|l| l.contains(&tag)).collect();
+        assert_eq!(events.len(), 1, "one event for `{field}`:\n{stdout}");
+        let event = events[0];
+        assert!(event.contains("\"event\":\"error\""), "{event}");
+        assert!(event.contains(&format!("invalid {field}: bisection bracket invalid")), "{event}");
     }
 }
 
