@@ -181,16 +181,6 @@ impl WorkerPool {
         drop(completed);
         batch.slots.iter().map(|s| relock(s).take()).collect()
     }
-
-    /// [`run`](Self::run) for callers that treat a replication panic as
-    /// fatal (e.g. saturation search, where a lost run would silently
-    /// bias the boundary estimate): the first failure is re-raised.
-    pub fn run_or_panic(&self, cfgs: Vec<SimConfig>, audit: bool) -> Vec<SimOutcome> {
-        self.run(cfgs, audit)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|cause| panic!("replication panicked: {cause}")))
-            .collect()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -298,14 +288,6 @@ mod tests {
         assert!(results[2].is_ok());
         // The pool is still alive and serves the next batch.
         assert!(pool.run(vec![tiny(0.3, 7)], false)[0].is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "replication panicked")]
-    fn run_or_panic_reraises_the_first_failure() {
-        let mut poisoned = tiny(0.3, 7);
-        poisoned.warmup_jobs = poisoned.total_jobs;
-        WorkerPool::new(1).run_or_panic(vec![poisoned], false);
     }
 
     #[test]

@@ -92,12 +92,13 @@ use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use desim::Estimate;
 
 use super::checkpoint::unique_tmp_path;
 use super::grid::DigestHasher;
+use super::relock;
 use crate::metrics::MetricsReport;
 use crate::sim::SimOutcome;
 
@@ -136,7 +137,9 @@ struct Loc {
 
 /// One segment file and the handle every read of it goes through.
 struct Segment {
-    path: PathBuf,
+    /// Shared so a read can name the file in a warning without
+    /// allocating under the store lock.
+    path: Arc<Path>,
     /// `None` when the file could not be opened; nothing is indexed in
     /// it then.
     reader: Option<File>,
@@ -203,13 +206,6 @@ pub struct ResultStore {
     dir: PathBuf,
     inner: Mutex<StoreInner>,
     recovery: RecoveryReport,
-}
-
-/// Poison-safe lock: a panicking holder leaves the data intact (every
-/// mutation below is a single insert/append), so recover the guard
-/// instead of cascading the panic into every later request.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ResultStore {
@@ -389,7 +385,7 @@ impl ResultStore {
         // The rename must be durable before the segments it replaces go.
         File::open(&self.dir)?.sync_all()?;
         let reader = File::open(&target).ok();
-        let compacted = Segment { path: target, reader, len: offset };
+        let compacted = Segment { path: target.into(), reader, len: offset };
         let old = std::mem::replace(&mut inner.segments, vec![compacted]);
         inner.index = index;
         inner.dead = 0;
@@ -414,7 +410,11 @@ impl StoreInner {
             file.lock()?;
             let reader = File::open(&path)?;
             file.write_all(MAGIC)?;
-            self.segments.push(Segment { path, reader: Some(reader), len: MAGIC.len() as u64 });
+            self.segments.push(Segment {
+                path: path.into(),
+                reader: Some(reader),
+                len: MAGIC.len() as u64,
+            });
             self.writer = Some(file);
         }
         let seg = self.segments.len() - 1;
@@ -859,10 +859,10 @@ fn scan_segment(
     let mut bytes = Vec::new();
     let read = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
     let segment = match read {
-        Ok(f) => Segment { reader: Some(f), len: bytes.len() as u64, path },
+        Ok(f) => Segment { reader: Some(f), len: bytes.len() as u64, path: path.into() },
         Err(e) => {
             eprintln!("warning: cannot read store segment {} ({e}); skipping", path.display());
-            return (Segment { path, reader: None, len: 0 }, false);
+            return (Segment { path: path.into(), reader: None, len: 0 }, false);
         }
     };
     if bytes.is_empty() {

@@ -7,10 +7,8 @@
 //! Worst Fit is the paper's rule; Best Fit and First Fit are provided as
 //! ablation alternatives (see the placement bench and DESIGN.md).
 
-use desim::SimTime;
-
-use crate::audit::{PlacementDecision, PlacementScope, SimObserver};
-use crate::job::{JobId, Placement, SubmitQueue};
+use crate::audit::PlacementScope;
+use crate::job::Placement;
 
 /// How a component picks among the clusters it fits on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -221,28 +219,6 @@ pub fn place_scoped(
         PlacementScope::System => place_request(idle, request, rule),
         PlacementScope::Cluster(c) => place_on_cluster(idle, c, request.total()),
     }
-}
-
-/// [`place_scoped`], announcing a successful decision to the observer
-/// (with the pre-placement idle snapshot) before returning it. The
-/// single emission point all policies go through.
-#[allow(clippy::too_many_arguments)]
-pub fn place_scoped_observed(
-    idle: &[u32],
-    request: &coalloc_workload::JobRequest,
-    scope: PlacementScope,
-    rule: PlacementRule,
-    now: SimTime,
-    id: JobId,
-    queue: SubmitQueue,
-    obs: &mut dyn SimObserver,
-) -> Option<Placement> {
-    let placement = place_scoped(idle, request, scope, rule)?;
-    obs.on_placement(
-        now,
-        &PlacementDecision { id, queue, scope, idle_before: idle, placement: &placement },
-    );
-    Some(placement)
 }
 
 #[cfg(test)]

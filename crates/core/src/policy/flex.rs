@@ -24,12 +24,11 @@ use desim::{Duration, SimTime};
 use crate::audit::{PlacementDecision, PlacementScope, SimObserver};
 use crate::job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
 use crate::placement::{place_scoped, PlacementRule};
-use crate::queue::QueueDiscipline;
+use crate::queue::{JobQueue, QueueDiscipline};
 use crate::system::MultiCluster;
 
 /// The policy-independent scheduling options threaded from
-/// [`crate::SimConfig`] into every scheduler by
-/// [`super::PolicyKind::build_with`].
+/// [`crate::SimConfig`] into every scheduler.
 #[derive(Clone, Debug)]
 pub struct PolicyOptions {
     /// How much placement freedom jobs grant after submission.
@@ -125,15 +124,30 @@ struct RunningEst {
     placement: Placement,
 }
 
-/// The per-scheduler engine implementing both option axes.
+/// What one scheduling pass works on: the clock, the machine, the job
+/// table, the observer, and the caller-owned buffer that started jobs
+/// are appended to (see [`super::Scheduler::schedule_into`]).
+pub(crate) struct Pass<'a> {
+    pub(crate) now: SimTime,
+    pub(crate) system: &'a mut MultiCluster,
+    pub(crate) table: &'a mut JobTable,
+    pub(crate) obs: &'a mut dyn SimObserver,
+    pub(crate) started: &'a mut Vec<JobId>,
+}
+
+/// The per-scheduler engine implementing both option axes and the two
+/// steps every policy is built from.
 ///
-/// Schedulers own one engine each and funnel every start attempt
-/// through [`FlexEngine::try_start_job`]; the backfilling scans
-/// additionally consult [`FlexEngine::shadow`]. Under the default
-/// options the engine is pure pass-through (see the module docs).
+/// Every queue is FCFS, so a policy only ever offers a queue's head
+/// ([`FlexEngine::start_head`]) or scans behind it
+/// ([`FlexEngine::scan`], [`FlexEngine::backfill`]); the policies keep
+/// only where jobs queue, the scope they are placed under, and when a
+/// queue may schedule. Under the default options the engine is pure
+/// pass-through (see the module docs).
 #[derive(Debug)]
 pub(crate) struct FlexEngine {
     opts: PolicyOptions,
+    rule: PlacementRule,
     /// Running jobs, tracked only when the discipline backfills.
     running: Vec<RunningEst>,
     /// Reused scratch: releases sorted by (est_end, id) for the replay.
@@ -143,8 +157,14 @@ pub(crate) struct FlexEngine {
 }
 
 impl FlexEngine {
-    pub(crate) fn new(opts: PolicyOptions) -> Self {
-        FlexEngine { opts, running: Vec::new(), releases: Vec::new(), shadow_idle: Vec::new() }
+    pub(crate) fn new(rule: PlacementRule, opts: PolicyOptions) -> Self {
+        FlexEngine {
+            opts,
+            rule,
+            running: Vec::new(),
+            releases: Vec::new(),
+            shadow_idle: Vec::new(),
+        }
     }
 
     /// Whether the discipline may start non-head jobs (and the engine
@@ -155,7 +175,7 @@ impl FlexEngine {
 
     /// Whether later candidates must respect every earlier queued job's
     /// reservation, not just the head's.
-    pub(crate) fn conservative(&self) -> bool {
+    fn conservative(&self) -> bool {
         self.opts.discipline == QueueDiscipline::Conservative
     }
 
@@ -188,9 +208,8 @@ impl FlexEngine {
         idle: &[u32],
         request: &JobRequest,
         scope: PlacementScope,
-        rule: PlacementRule,
     ) -> Option<(Placement, Option<JobRequest>)> {
-        if let Some(p) = place_scoped(idle, request, scope, rule) {
+        if let Some(p) = place_scoped(idle, request, scope, self.rule) {
             return Some((p, None));
         }
         if self.opts.disposition == JobDisposition::Rigid
@@ -206,7 +225,7 @@ impl FlexEngine {
         let max_n = idle.len().min(total);
         for n in request.num_components() + 1..=max_n {
             let candidate = request.resplit_even(n);
-            if let Some(p) = place_scoped(idle, &candidate, scope, rule) {
+            if let Some(p) = place_scoped(idle, &candidate, scope, self.rule) {
                 return Some((p, Some(candidate)));
             }
         }
@@ -220,23 +239,20 @@ impl FlexEngine {
     /// the candidate may only start if its estimated end lies *strictly*
     /// before it (`None` for queue heads, which hold no one up).
     ///
-    /// Returns whether the job started; the caller removes it from its
+    /// Returns whether the job started; a failed attempt emits nothing
+    /// and changes nothing. The caller removes a started job from its
     /// queue.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_start_job(
+    fn try_start_job(
         &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
+        p: &mut Pass<'_>,
         id: JobId,
         queue: SubmitQueue,
         scope: PlacementScope,
-        rule: PlacementRule,
-        obs: &mut dyn SimObserver,
         max_est_end: Option<f64>,
     ) -> bool {
-        let job = table.get(id);
-        let found = self.find_placement(system.idle_per_cluster(), &job.spec.request, scope, rule);
+        let now = p.now;
+        let job = p.table.get(id);
+        let found = self.find_placement(p.system.idle_per_cluster(), &job.spec.request, scope);
         let Some((placement, molded)) = found else {
             return false;
         };
@@ -247,37 +263,128 @@ impl FlexEngine {
             }
         }
         if let Some(new_request) = molded {
-            obs.on_job_molded(now, id, &job.spec.request, &new_request);
-            table.get_mut(id).spec.request = new_request;
+            p.obs.on_job_molded(now, id, &job.spec.request, &new_request);
+            p.table.get_mut(id).spec.request = new_request;
         }
-        obs.on_placement(
+        p.obs.on_placement(
             now,
             &PlacementDecision {
                 id,
                 queue,
                 scope,
-                idle_before: system.idle_per_cluster(),
+                idle_before: p.system.idle_per_cluster(),
                 placement: &placement,
             },
         );
-        system.apply(&placement);
+        p.system.apply(&placement);
         if self.backfills() {
-            let est_end = self.est_end(now.seconds(), table.get(id), placement.assignments().len());
+            let est_end =
+                self.est_end(now.seconds(), p.table.get(id), placement.assignments().len());
             self.running.push(RunningEst { id, est_end, placement: placement.clone() });
         }
-        table.mark_started(id, placement, now);
+        p.table.mark_started(id, placement, now);
         true
+    }
+
+    /// Offers `queue`'s head under the scope `scope` picks for it. On a
+    /// fit the job starts, leaves the queue and is appended to
+    /// `p.started`. Returns whether it started — `false` for an empty
+    /// queue too. A policy's disable latch is its own business.
+    pub(crate) fn start_head(
+        &mut self,
+        p: &mut Pass<'_>,
+        queue: &mut JobQueue,
+        label: SubmitQueue,
+        scope: impl Fn(&ActiveJob) -> PlacementScope,
+    ) -> bool {
+        let Some(head) = queue.head() else {
+            return false;
+        };
+        let fits = self.try_start_job(p, head, label, scope(p.table.get(head)), None);
+        if fits {
+            queue.pop();
+            p.started.push(head);
+        }
+        fits
+    }
+
+    /// Starts, in queue order from position `from`, every job that fits
+    /// and — under a `bound` — whose estimated end lies strictly before
+    /// it. Conservative backfilling folds each skipped job's shadow into
+    /// the bound, so later candidates cannot delay any earlier queued
+    /// job either.
+    ///
+    /// With no bound this is GB's pass: one forward scan makes the same
+    /// starts as restarting from the front after every start. Whether a
+    /// request fits is monotone in the idle vector, so a job skipped
+    /// before a start still does not fit after it, and a failed attempt
+    /// emits nothing and changes nothing (see DESIGN.md §11).
+    pub(crate) fn scan(
+        &mut self,
+        p: &mut Pass<'_>,
+        queue: &mut JobQueue,
+        label: SubmitQueue,
+        scope: impl Fn(&ActiveJob) -> PlacementScope,
+        from: usize,
+        mut bound: Option<f64>,
+    ) {
+        let mut pos = from;
+        while let Some(id) = queue.get(pos) {
+            let job_scope = scope(p.table.get(id));
+            if self.try_start_job(p, id, label, job_scope, bound) {
+                queue.remove(pos);
+                p.started.push(id);
+                continue;
+            }
+            if let Some(b) = bound.filter(|_| self.conservative()) {
+                let request = &p.table.get(id).spec.request;
+                let shadow =
+                    self.shadow(p.system.idle_per_cluster(), request, job_scope, p.now.seconds());
+                bound = Some(b.min(shadow));
+            }
+            pos += 1;
+        }
+    }
+
+    /// The EASY/conservative backfilling scan behind `queue`'s blocked
+    /// head (a no-op under FCFS): later jobs may start iff their
+    /// estimated end lies strictly before the head's shadow time.
+    ///
+    /// The bound survives each successful backfill unchanged: a legal
+    /// backfill releases (by estimate) strictly before the bound, so
+    /// replaying the enlarged running set at the bound time yields the
+    /// same idle vector — the head still fits there. Each skipped job's
+    /// reservation under conservative backfilling is protected by the
+    /// same argument. The scan ignores the queue's disable latch, which
+    /// only pins the head whose reservation it protects.
+    pub(crate) fn backfill(
+        &mut self,
+        p: &mut Pass<'_>,
+        queue: &mut JobQueue,
+        label: SubmitQueue,
+        scope: impl Fn(&ActiveJob) -> PlacementScope,
+    ) {
+        if !self.backfills() || queue.len() < 2 {
+            return;
+        }
+        let head = p.table.get(queue.head().expect("len >= 2"));
+        let shadow = self.shadow(
+            p.system.idle_per_cluster(),
+            &head.spec.request,
+            scope(head),
+            p.now.seconds(),
+        );
+        self.scan(p, queue, label, scope, 1, Some(shadow));
     }
 
     /// The shadow time of a blocked queue head: the earliest estimated
     /// time its request fits, replaying the tracked running set (see
     /// [`replay_shadow`]).
-    pub(crate) fn shadow(
+    fn shadow(
         &mut self,
         idle: &[u32],
         request: &JobRequest,
         scope: PlacementScope,
-        rule: PlacementRule,
         now: f64,
     ) -> f64 {
         self.releases.clear();
@@ -287,7 +394,7 @@ impl FlexEngine {
         self.releases.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("estimates are never NaN"));
         self.shadow_idle.clear();
         self.shadow_idle.extend_from_slice(idle);
-        replay_shadow(&mut self.shadow_idle, &self.releases, request, scope, rule, now)
+        replay_shadow(&mut self.shadow_idle, &self.releases, request, scope, self.rule, now)
     }
 
     /// A tracked job departed (or was killed by a fault).
@@ -331,6 +438,30 @@ mod tests {
         PolicyOptions { disposition, discipline, ..PolicyOptions::default() }
     }
 
+    fn engine(disposition: JobDisposition, discipline: QueueDiscipline) -> FlexEngine {
+        FlexEngine::new(PlacementRule::WorstFit, opts(disposition, discipline))
+    }
+
+    /// Attempts `id` at t=0 as a queue head (`bound` = `None`) or as a
+    /// backfilling candidate under `bound`.
+    fn attempt(
+        engine: &mut FlexEngine,
+        system: &mut MultiCluster,
+        table: &mut JobTable,
+        id: JobId,
+        bound: Option<f64>,
+    ) -> bool {
+        let mut started = Vec::new();
+        let mut p = Pass {
+            now: SimTime::new(0.0),
+            system,
+            table,
+            obs: &mut NullObserver,
+            started: &mut started,
+        };
+        engine.try_start_job(&mut p, id, SubmitQueue::Global, PlacementScope::System, bound)
+    }
+
     fn job(table: &mut JobTable, components: &[u32]) -> JobId {
         let spec = coalloc_workload::JobSpec {
             request: JobRequest::new(components.to_vec()),
@@ -341,28 +472,18 @@ mod tests {
 
     #[test]
     fn rigid_engine_is_pass_through() {
-        let mut engine = FlexEngine::new(PolicyOptions::default());
+        let mut engine = engine(JobDisposition::Rigid, QueueDiscipline::Fcfs);
         let mut system = MultiCluster::das_multicluster();
         let mut table = JobTable::new();
         let id = job(&mut table, &[16, 16]);
-        assert!(engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            None,
-        ));
+        assert!(attempt(&mut engine, &mut system, &mut table, id, None));
         assert!(engine.running.is_empty(), "no tracking under FCFS");
         assert_eq!(table.get(id).spec.request.components(), &[16, 16], "no molding under Rigid");
     }
 
     #[test]
     fn moldable_splits_wider_when_the_submitted_split_is_blocked() {
-        let mut engine = FlexEngine::new(opts(JobDisposition::Moldable, QueueDiscipline::Fcfs));
+        let mut engine = engine(JobDisposition::Moldable, QueueDiscipline::Fcfs);
         let mut system = MultiCluster::das_multicluster();
         // Occupy so the idle vector is (16, 16, 16, 32): a (32,32) job is
         // blocked (only one cluster has 32 idle), an even 3-way split
@@ -371,71 +492,31 @@ mod tests {
         system.apply(&Placement::new(vec![(0, 16), (1, 16), (2, 16)]));
         let mut table = JobTable::new();
         let id = job(&mut table, &[32, 32]);
-        assert!(engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            None,
-        ));
+        assert!(attempt(&mut engine, &mut system, &mut table, id, None));
         assert_eq!(table.get(id).spec.request.components(), &[16, 16, 16, 16]);
         assert_eq!(table.get(id).spec.request.total(), 64, "molding conserves the total");
     }
 
     #[test]
     fn moldable_prefers_the_submitted_split_when_it_fits() {
-        let mut engine = FlexEngine::new(opts(JobDisposition::Moldable, QueueDiscipline::Fcfs));
+        let mut engine = engine(JobDisposition::Moldable, QueueDiscipline::Fcfs);
         let mut system = MultiCluster::das_multicluster();
         let mut table = JobTable::new();
         let id = job(&mut table, &[32, 32]);
-        assert!(engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            None,
-        ));
+        assert!(attempt(&mut engine, &mut system, &mut table, id, None));
         assert_eq!(table.get(id).spec.request.components(), &[32, 32], "smallest n wins");
     }
 
     #[test]
     fn backfill_bound_blocks_long_estimates() {
-        let mut engine = FlexEngine::new(opts(JobDisposition::Rigid, QueueDiscipline::Easy));
+        let mut engine = engine(JobDisposition::Rigid, QueueDiscipline::Easy);
         let mut system = MultiCluster::das_multicluster();
         let mut table = JobTable::new();
         let id = job(&mut table, &[8]);
         // Estimated end = 0 + 2.0 × 100 = 200: a bound of 150 rejects,
         // 250 admits.
-        assert!(!engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            Some(150.0),
-        ));
-        assert!(engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            Some(250.0),
-        ));
+        assert!(!attempt(&mut engine, &mut system, &mut table, id, Some(150.0)));
+        assert!(attempt(&mut engine, &mut system, &mut table, id, Some(250.0)));
         assert_eq!(engine.running.len(), 1, "backfilling tracks the running set");
         engine.note_departed(id);
         assert!(engine.running.is_empty());
@@ -443,7 +524,7 @@ mod tests {
 
     #[test]
     fn shadow_replays_releases_in_estimate_order() {
-        let mut engine = FlexEngine::new(opts(JobDisposition::Rigid, QueueDiscipline::Easy));
+        let mut engine = engine(JobDisposition::Rigid, QueueDiscipline::Easy);
         engine.running.push(RunningEst {
             id: JobId(0),
             est_end: 300.0,
@@ -457,63 +538,38 @@ mod tests {
         // Idle (0,0,0,32): a (32,32) head fits only once the 150-ending
         // job frees cluster 2.
         let head = JobRequest::new(vec![32, 32]);
-        let s = engine.shadow(
-            &[0, 0, 0, 32],
-            &head,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            10.0,
-        );
+        let s = engine.shadow(&[0, 0, 0, 32], &head, PlacementScope::System, 10.0);
         assert_eq!(s, 150.0);
         // A whole-system head needs both releases.
         let big = JobRequest::new(vec![32, 32, 32, 32]);
-        let s = engine.shadow(
-            &[0, 0, 0, 32],
-            &big,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            10.0,
-        );
+        let s = engine.shadow(&[0, 0, 0, 32], &big, PlacementScope::System, 10.0);
         assert_eq!(s, 300.0);
         // An impossible head shadows at infinity.
         let impossible = JobRequest::new(vec![33, 33, 33, 33, 33]);
-        let s = engine.shadow(
-            &[0, 0, 0, 32],
-            &impossible,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            10.0,
-        );
+        let s = engine.shadow(&[0, 0, 0, 32], &impossible, PlacementScope::System, 10.0);
         assert!(s.is_infinite());
     }
 
     #[test]
     fn infinite_estimates_disable_backfilling() {
-        let mut engine = FlexEngine::new(PolicyOptions {
-            estimate_factor: f64::INFINITY,
-            ..opts(JobDisposition::Rigid, QueueDiscipline::Easy)
-        });
+        let mut engine = FlexEngine::new(
+            PlacementRule::WorstFit,
+            PolicyOptions {
+                estimate_factor: f64::INFINITY,
+                ..opts(JobDisposition::Rigid, QueueDiscipline::Easy)
+            },
+        );
         let mut system = MultiCluster::das_multicluster();
         let mut table = JobTable::new();
         let id = job(&mut table, &[8]);
         // Even an infinite bound rejects an infinite estimate (∞ < ∞ is
         // false) — EASY with no information degenerates to FCFS.
-        assert!(!engine.try_start_job(
-            SimTime::new(0.0),
-            &mut system,
-            &mut table,
-            id,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            PlacementRule::WorstFit,
-            &mut NullObserver,
-            Some(f64::INFINITY),
-        ));
+        assert!(!attempt(&mut engine, &mut system, &mut table, id, Some(f64::INFINITY)));
     }
 
     #[test]
     fn resize_rescales_the_estimate() {
-        let mut engine = FlexEngine::new(opts(JobDisposition::Malleable, QueueDiscipline::Easy));
+        let mut engine = engine(JobDisposition::Malleable, QueueDiscipline::Easy);
         engine.running.push(RunningEst {
             id: JobId(3),
             est_end: 100.0,
@@ -532,7 +588,7 @@ mod tests {
         // must scale by old_total/new_total × (f_new/f_old) — the old
         // formula conserved *extended* seconds and over-estimated the
         // coalesced remainder by 25%.
-        let mut engine = FlexEngine::new(opts(JobDisposition::Malleable, QueueDiscipline::Easy));
+        let mut engine = engine(JobDisposition::Malleable, QueueDiscipline::Easy);
         engine.running.push(RunningEst {
             id: JobId(7),
             est_end: 100.0,

@@ -3,8 +3,8 @@
 //! The paper attributes LS's advantage to "a form of backfilling with a
 //! window equal to the number of clusters" (§3.1.1). GB makes that
 //! mechanism explicit on the GS substrate: one global queue, but when
-//! the head does not fit, the scheduler scans past it and starts the
-//! *first* job in queue order that does fit (aggressive backfilling,
+//! the head does not fit, the scheduler scans past it and starts, in
+//! queue order, every job that does fit (aggressive backfilling,
 //! without reservations). Comparing GS, GB and LS separates what the
 //! paper's local queues buy from what backfilling itself buys.
 //!
@@ -18,9 +18,10 @@ use desim::SimTime;
 use crate::audit::{PlacementScope, SimObserver};
 use crate::job::{JobId, JobTable, Placement, SubmitQueue};
 use crate::placement::PlacementRule;
+use crate::queue::JobQueue;
 use crate::system::MultiCluster;
 
-use super::{FlexEngine, PolicyOptions, Scheduler};
+use super::{FlexEngine, Pass, PolicyOptions, Scheduler};
 
 /// The GB policy: a global queue with aggressive (no-reservation)
 /// backfilling.
@@ -29,10 +30,10 @@ use super::{FlexEngine, PolicyOptions, Scheduler};
 /// aggressiveness for the same reservation-bounded scan as GS: the head
 /// gets a shadow-time reservation and only estimated-short jobs may
 /// pass it — the no-starvation caveat above then no longer applies.
+/// Unlike GS, GB has no disable latch: it offers the head on every pass.
 #[derive(Debug)]
 pub struct GlobalBackfill {
-    queue: std::collections::VecDeque<JobId>,
-    rule: PlacementRule,
+    queue: JobQueue,
     flex: FlexEngine,
 }
 
@@ -46,125 +47,7 @@ impl GlobalBackfill {
     /// [`GlobalBackfill::new`] with explicit disposition/discipline
     /// options.
     pub fn with_options(rule: PlacementRule, opts: PolicyOptions) -> Self {
-        GlobalBackfill {
-            queue: std::collections::VecDeque::new(),
-            rule,
-            flex: FlexEngine::new(opts),
-        }
-    }
-
-    /// The paper-era GB pass: repeatedly start the *first* job in queue
-    /// order that fits (no reservations).
-    fn greedy_pass(
-        &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
-        obs: &mut dyn SimObserver,
-        started: &mut Vec<JobId>,
-    ) {
-        'outer: loop {
-            let mut pos = 0;
-            while pos < self.queue.len() {
-                let id = self.queue[pos];
-                let ok = self.flex.try_start_job(
-                    now,
-                    system,
-                    table,
-                    id,
-                    SubmitQueue::Global,
-                    PlacementScope::System,
-                    self.rule,
-                    obs,
-                    None,
-                );
-                if ok {
-                    self.queue.remove(pos);
-                    started.push(id);
-                    // Restart from the front: the jobs skipped so far
-                    // did not fit in a superset of the current idle
-                    // processors, but queue order stays authoritative.
-                    continue 'outer;
-                }
-                pos += 1;
-            }
-            break;
-        }
-    }
-
-    /// The reservation-bounded pass (EASY/conservative): identical in
-    /// structure to [`super::GlobalScheduler`]'s — see the bound-validity
-    /// argument there.
-    fn reserved_pass(
-        &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
-        obs: &mut dyn SimObserver,
-        started: &mut Vec<JobId>,
-    ) {
-        while let Some(&head) = self.queue.front() {
-            let ok = self.flex.try_start_job(
-                now,
-                system,
-                table,
-                head,
-                SubmitQueue::Global,
-                PlacementScope::System,
-                self.rule,
-                obs,
-                None,
-            );
-            if ok {
-                self.queue.pop_front();
-                started.push(head);
-            } else {
-                break;
-            }
-        }
-        if self.queue.len() < 2 {
-            return;
-        }
-        let head = self.queue[0];
-        let mut bound = self.flex.shadow(
-            system.idle_per_cluster(),
-            &table.get(head).spec.request,
-            PlacementScope::System,
-            self.rule,
-            now.seconds(),
-        );
-        let conservative = self.flex.conservative();
-        let mut pos = 1;
-        while pos < self.queue.len() {
-            let id = self.queue[pos];
-            let ok = self.flex.try_start_job(
-                now,
-                system,
-                table,
-                id,
-                SubmitQueue::Global,
-                PlacementScope::System,
-                self.rule,
-                obs,
-                Some(bound),
-            );
-            if ok {
-                self.queue.remove(pos);
-                started.push(id);
-            } else {
-                if conservative {
-                    let shadow = self.flex.shadow(
-                        system.idle_per_cluster(),
-                        &table.get(id).spec.request,
-                        PlacementScope::System,
-                        self.rule,
-                        now.seconds(),
-                    );
-                    bound = bound.min(shadow);
-                }
-                pos += 1;
-            }
-        }
+        GlobalBackfill { queue: JobQueue::new(), flex: FlexEngine::new(rule, opts) }
     }
 }
 
@@ -179,11 +62,11 @@ impl Scheduler for GlobalBackfill {
 
     fn enqueue(&mut self, id: JobId, queue: SubmitQueue) {
         debug_assert_eq!(queue, SubmitQueue::Global, "GB has only the global queue");
-        self.queue.push_back(id);
+        self.queue.push(id);
     }
 
     fn on_departure(&mut self) {
-        // Nothing to re-enable: GB re-scans the whole queue every pass.
+        // Nothing to re-enable: GB has no disable latch.
     }
 
     fn requeue_front(&mut self, id: JobId, queue: SubmitQueue) {
@@ -207,10 +90,15 @@ impl Scheduler for GlobalBackfill {
         obs: &mut dyn SimObserver,
         started: &mut Vec<JobId>,
     ) {
+        let mut p = Pass { now, system, table, obs, started };
+        let scope = |_: &_| PlacementScope::System;
         if self.flex.backfills() {
-            self.reserved_pass(now, system, table, obs, started);
+            while self.flex.start_head(&mut p, &mut self.queue, SubmitQueue::Global, scope) {}
+            self.flex.backfill(&mut p, &mut self.queue, SubmitQueue::Global, scope);
         } else {
-            self.greedy_pass(now, system, table, obs, started);
+            // The paper-era pass: start every job that fits, in queue
+            // order, without reservations.
+            self.flex.scan(&mut p, &mut self.queue, SubmitQueue::Global, scope, 0, None);
         }
     }
 
@@ -229,8 +117,14 @@ impl Scheduler for GlobalBackfill {
 
 #[cfg(test)]
 mod tests {
+    use coalloc_workload::{JobDisposition, JobRequest};
+    use desim::Duration;
+    use proptest::prelude::*;
+
     use super::super::testutil::*;
     use super::*;
+    use crate::audit::NullObserver;
+    use crate::job::ActiveJob;
 
     fn setup() -> (GlobalBackfill, MultiCluster, JobTable) {
         (
@@ -305,5 +199,123 @@ mod tests {
         submit(&mut p, &mut table, &[32, 32, 32, 32], 0.0);
         pass(&mut p, &mut sys, &mut table, 0.0);
         assert_eq!(p.queue_lengths(), vec![0]);
+    }
+
+    /// The restart-from-front loop GB ran before its single forward
+    /// scan: start the *first* job in queue order that fits, then start
+    /// over from the head. A one-job queue per attempt turns
+    /// `start_head` into "try this job".
+    fn restart_from_front(flex: &mut FlexEngine, p: &mut Pass<'_>, queue: &mut JobQueue) {
+        'outer: loop {
+            for pos in 0..queue.len() {
+                let mut one = JobQueue::new();
+                one.push(queue.get(pos).expect("pos < len"));
+                if flex.start_head(p, &mut one, SubmitQueue::Global, |_| PlacementScope::System) {
+                    queue.remove(pos);
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+    }
+
+    /// A request drawn for up to five clusters: its structure (0
+    /// unordered, 1 ordered, 2 flexible, 3 total), component sizes, and
+    /// a number that sets a flexible total and the ordered targets.
+    type RawRequest = (u8, Vec<u32>, u32);
+
+    /// Cuts a [`RawRequest`] down to a `clusters`-cluster system.
+    fn request(raw: &RawRequest, clusters: usize) -> JobRequest {
+        let (kind, sizes, n) = raw;
+        let sizes = sizes[..sizes.len().min(clusters)].to_vec();
+        match kind {
+            0 => JobRequest::new(sizes),
+            1 => {
+                let targets = (0..sizes.len()).map(|i| (i + *n as usize) % clusters).collect();
+                JobRequest::ordered(sizes, targets)
+            }
+            2 => JobRequest::flexible(*n, 16, clusters),
+            _ => JobRequest::total_request(sizes[0]),
+        }
+    }
+
+    /// Cluster capacities, the busy processors of each, and a queue.
+    fn scenario() -> impl Strategy<Value = (Vec<u32>, Vec<u32>, Vec<JobRequest>)> {
+        let raw = (0u8..4, prop::collection::vec(1u32..=40, 1..=5), 1u32..=100);
+        (
+            2usize..=5,
+            prop::collection::vec((8u32..=48, 0.0f64..=1.0), 5),
+            prop::collection::vec(raw, 1..12),
+        )
+            .prop_map(|(clusters, cells, raws)| {
+                let caps = cells[..clusters].iter().map(|&(c, _)| c).collect();
+                let busy =
+                    cells[..clusters].iter().map(|&(c, f)| (f64::from(c) * f) as u32).collect();
+                let queue = raws.iter().map(|raw| request(raw, clusters)).collect();
+                (caps, busy, queue)
+            })
+    }
+
+    /// A system with `busy` processors taken and a table of `requests`.
+    fn load(caps: &[u32], busy: &[u32], requests: &[JobRequest]) -> (MultiCluster, JobTable) {
+        let mut system = MultiCluster::new(caps);
+        let taken: Vec<(usize, u32)> =
+            busy.iter().enumerate().filter(|(_, &b)| b > 0).map(|(c, &b)| (c, b)).collect();
+        if !taken.is_empty() {
+            system.apply(&Placement::new(taken));
+        }
+        let mut table = JobTable::new();
+        for request in requests {
+            let spec = JobSpec { request: request.clone(), base_service: Duration::new(100.0) };
+            table.insert(ActiveJob::new(spec, SimTime::ZERO, SubmitQueue::Global));
+        }
+        (system, table)
+    }
+
+    proptest! {
+        #[test]
+        fn one_forward_scan_starts_what_restarting_from_the_front_starts(
+            case in scenario(),
+            rule in prop_oneof![
+                Just(PlacementRule::WorstFit),
+                Just(PlacementRule::BestFit),
+                Just(PlacementRule::FirstFit)
+            ],
+            disposition in prop_oneof![Just(JobDisposition::Rigid), Just(JobDisposition::Moldable)],
+        ) {
+            let (caps, busy, requests) = case;
+            let opts = PolicyOptions { disposition, ..PolicyOptions::default() };
+            let ids: Vec<JobId> = (0..requests.len() as u64).map(JobId).collect();
+
+            let (mut sys_scan, mut table_scan) = load(&caps, &busy, &requests);
+            let mut gb = GlobalBackfill::with_options(rule, opts.clone());
+            for &id in &ids {
+                gb.enqueue(id, SubmitQueue::Global);
+            }
+            let scanned = gb.schedule(SimTime::ZERO, &mut sys_scan, &mut table_scan);
+
+            let (mut sys_restart, mut table_restart) = load(&caps, &busy, &requests);
+            let mut queue = JobQueue::new();
+            for &id in &ids {
+                queue.push(id);
+            }
+            let mut restarted = Vec::new();
+            let mut p = Pass {
+                now: SimTime::ZERO,
+                system: &mut sys_restart,
+                table: &mut table_restart,
+                obs: &mut NullObserver,
+                started: &mut restarted,
+            };
+            restart_from_front(&mut FlexEngine::new(rule, opts), &mut p, &mut queue);
+
+            prop_assert_eq!(&scanned, &restarted);
+            prop_assert_eq!(sys_scan.idle_per_cluster(), sys_restart.idle_per_cluster());
+            for id in scanned {
+                let (a, b) = (table_scan.get(id), table_restart.get(id));
+                prop_assert_eq!(&a.placement, &b.placement);
+                prop_assert_eq!(&a.spec.request, &b.spec.request);
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! GS — the global scheduler (§2.5, policy 1).
+//! GS — the global scheduler (§2.5, policy 1), and SC.
 //!
 //! "The system has one global scheduler with one global queue, for both
 //! single- and multi-component jobs. All jobs are submitted to the global
@@ -7,9 +7,18 @@
 //! clusters for each job."
 //!
 //! FCFS: only the head of the queue may start; when it does not fit, the
-//! queue is (implicitly) disabled until the next departure — since
-//! arrivals cannot increase the number of idle processors, re-checking
-//! the head before a departure is a no-op, so no explicit flag is needed.
+//! queue is disabled until the next departure. Arrivals cannot increase
+//! the number of idle processors, so re-checking the head before a
+//! departure is a guaranteed miss, and the latch skips it.
+//!
+//! SC, the single-cluster FCFS baseline ("for comparison, we consider
+//! the single-cluster case where there are only single-component jobs
+//! and we use FCFS as scheduling policy", §2.5), *is* this scheduler run
+//! over a one-cluster system (e.g.
+//! [`crate::system::MultiCluster::das_single_cluster`]) fed with total
+//! requests ([`coalloc_workload::Workload::single_cluster`]): choosing a
+//! cluster is trivial, moldability is vacuous, and EASY and conservative
+//! backfilling apply exactly as under GS.
 
 use coalloc_workload::JobSpec;
 use desim::SimTime;
@@ -20,13 +29,13 @@ use crate::placement::PlacementRule;
 use crate::queue::JobQueue;
 use crate::system::MultiCluster;
 
-use super::{FlexEngine, PolicyOptions, Scheduler};
+use super::{FlexEngine, Pass, PolicyOptions, Scheduler};
 
-/// The GS policy: one global FCFS queue over the whole system.
+/// The GS policy: one global FCFS queue over the whole system (and SC on
+/// a one-cluster system).
 #[derive(Debug)]
 pub struct GlobalScheduler {
     queue: JobQueue,
-    rule: PlacementRule,
     flex: FlexEngine,
 }
 
@@ -40,72 +49,7 @@ impl GlobalScheduler {
     /// [`GlobalScheduler::new`] with explicit disposition/discipline
     /// options.
     pub fn with_options(rule: PlacementRule, opts: PolicyOptions) -> Self {
-        GlobalScheduler { queue: JobQueue::new(), rule, flex: FlexEngine::new(opts) }
-    }
-
-    /// The backfilling scan: with the head blocked (and reserved via its
-    /// shadow time), later queued jobs may start iff their estimated end
-    /// lies strictly before the reservation they would otherwise delay.
-    ///
-    /// The head's bound survives each successful backfill unchanged: a
-    /// legal backfill releases (by estimate) strictly before the bound,
-    /// so replaying the enlarged running set at the bound time yields
-    /// the same idle vector — the head still fits there. Conservative
-    /// backfilling additionally folds every *skipped* job's own shadow
-    /// into the bound, so later candidates cannot delay earlier queued
-    /// jobs either (each skipped job's reservation is protected by the
-    /// same argument).
-    fn backfill(
-        &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
-        obs: &mut dyn SimObserver,
-        started: &mut Vec<JobId>,
-    ) {
-        let head = match self.queue.head() {
-            Some(h) => h,
-            None => return,
-        };
-        let mut bound = self.flex.shadow(
-            system.idle_per_cluster(),
-            &table.get(head).spec.request,
-            PlacementScope::System,
-            self.rule,
-            now.seconds(),
-        );
-        let conservative = self.flex.conservative();
-        let mut pos = 1;
-        while pos < self.queue.len() {
-            let id = self.queue.get(pos).expect("pos < len");
-            let ok = self.flex.try_start_job(
-                now,
-                system,
-                table,
-                id,
-                SubmitQueue::Global,
-                PlacementScope::System,
-                self.rule,
-                obs,
-                Some(bound),
-            );
-            if ok {
-                self.queue.remove(pos);
-                started.push(id);
-            } else {
-                if conservative {
-                    let shadow = self.flex.shadow(
-                        system.idle_per_cluster(),
-                        &table.get(id).spec.request,
-                        PlacementScope::System,
-                        self.rule,
-                        now.seconds(),
-                    );
-                    bound = bound.min(shadow);
-                }
-                pos += 1;
-            }
-        }
+        GlobalScheduler { queue: JobQueue::new(), flex: FlexEngine::new(rule, opts) }
     }
 }
 
@@ -148,43 +92,22 @@ impl Scheduler for GlobalScheduler {
         obs: &mut dyn SimObserver,
         started: &mut Vec<JobId>,
     ) {
-        // Disabled means the head failed to fit since the last departure.
-        // Arrivals never increase idle processors, so re-attempting the
-        // (deterministic) placement is a guaranteed miss — skip the head
-        // loop. Departures re-enable the queue before their pass runs.
-        // Under strict FCFS that skips the whole pass; a backfilling
+        let mut p = Pass { now, system, table, obs, started };
+        // GS chooses clusters for every component, including
+        // single-component jobs (it has "the freedom to choose the
+        // clusters for the single-component jobs", §3.1.1).
+        let scope = |_: &_| PlacementScope::System;
+        // A disabled queue's head failed to fit since the last
+        // departure, so the head loop is skipped; a backfilling
         // discipline still scans behind the (still-reserved) head, since
         // newly arrived jobs may fit around it.
         if self.queue.is_enabled() {
-            while let Some(head) = self.queue.head() {
-                // GS chooses clusters for every component, including
-                // single-component jobs (it has "the freedom to choose
-                // the clusters for the single-component jobs", §3.1.1).
-                // Ordered and flexible requests are honored per their
-                // structure; a moldable job may re-split here.
-                let ok = self.flex.try_start_job(
-                    now,
-                    system,
-                    table,
-                    head,
-                    SubmitQueue::Global,
-                    PlacementScope::System,
-                    self.rule,
-                    obs,
-                    None,
-                );
-                if ok {
-                    self.queue.pop();
-                    started.push(head);
-                } else {
-                    self.queue.disable_observed(now, SubmitQueue::Global, obs);
-                    break;
-                }
+            while self.flex.start_head(&mut p, &mut self.queue, SubmitQueue::Global, scope) {}
+            if !self.queue.is_empty() {
+                self.queue.disable_observed(now, SubmitQueue::Global, p.obs);
             }
         }
-        if self.flex.backfills() && self.queue.len() >= 2 {
-            self.backfill(now, system, table, obs, started);
-        }
+        self.flex.backfill(&mut p, &mut self.queue, SubmitQueue::Global, scope);
     }
 
     fn queued(&self) -> usize {
@@ -294,5 +217,40 @@ mod tests {
         pass(&mut p, &mut sys, &mut table, 0.0);
         assert_eq!(p.queue_lengths(), vec![2]);
         assert_eq!(p.name(), "GS");
+    }
+
+    #[test]
+    fn sc_is_fcfs_on_one_cluster() {
+        let mut p = GlobalScheduler::new(PlacementRule::WorstFit);
+        let mut sys = MultiCluster::das_single_cluster();
+        let mut table = JobTable::new();
+        let a = submit(&mut p, &mut table, &[100], 0.0);
+        let b = submit(&mut p, &mut table, &[100], 0.0); // blocks: only 28 idle
+        let c = submit(&mut p, &mut table, &[10], 0.0); // waits behind b
+        let started = pass(&mut p, &mut sys, &mut table, 0.0);
+        assert_eq!(started, vec![a]);
+        assert_eq!(p.queued(), 2);
+        depart(&mut p, &mut sys, &table, a);
+        let started = pass(&mut p, &mut sys, &mut table, 1.0);
+        assert_eq!(started, vec![b, c], "b first (FCFS), then c fits too");
+        assert_eq!(sys.total_busy(), 110);
+    }
+
+    #[test]
+    fn sc_whole_system_job_drains_the_cluster() {
+        // §3.2: "When a job requiring 128 processors is at the top of the
+        // queue, SC waits for the entire system to become empty."
+        let mut p = GlobalScheduler::new(PlacementRule::WorstFit);
+        let mut sys = MultiCluster::das_single_cluster();
+        let mut table = JobTable::new();
+        let a = submit(&mut p, &mut table, &[64], 0.0);
+        pass(&mut p, &mut sys, &mut table, 0.0);
+        let big = submit(&mut p, &mut table, &[128], 1.0);
+        submit(&mut p, &mut table, &[1], 1.0);
+        assert!(pass(&mut p, &mut sys, &mut table, 1.0).is_empty());
+        depart(&mut p, &mut sys, &table, a);
+        let started = pass(&mut p, &mut sys, &mut table, 2.0);
+        assert_eq!(started, vec![big]);
+        assert_eq!(sys.total_busy(), 128);
     }
 }

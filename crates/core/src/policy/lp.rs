@@ -20,11 +20,10 @@ use desim::{RngStream, SimTime};
 use crate::audit::{PlacementScope, SimObserver};
 use crate::job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
 use crate::placement::PlacementRule;
-use crate::queue::JobQueue;
+use crate::queue::{JobQueue, QueueSet};
 use crate::system::MultiCluster;
 
-use super::local::{LocalQueues, TryStart};
-use super::{PolicyOptions, Scheduler};
+use super::{FlexEngine, Pass, PolicyOptions, Scheduler};
 
 /// The scope LP places a locally queued job under: ordered requests name
 /// their cluster themselves, everything else is confined to the queue's
@@ -41,8 +40,11 @@ fn lp_local_scope(job: &ActiveJob, q: usize) -> PlacementScope {
 /// low-priority global queue for multi-component jobs.
 #[derive(Debug)]
 pub struct LocalPriority {
-    locals: LocalQueues,
+    queues: QueueSet,
+    routing: QueueRouting,
+    rng: RngStream,
     global: JobQueue,
+    flex: FlexEngine,
 }
 
 impl LocalPriority {
@@ -66,98 +68,13 @@ impl LocalPriority {
         rule: PlacementRule,
         opts: PolicyOptions,
     ) -> Self {
+        assert_eq!(routing.queues(), clusters, "routing must cover exactly the local queues");
         LocalPriority {
-            locals: LocalQueues::with_options(clusters, routing, rng, rule, opts),
+            queues: QueueSet::new(clusters),
+            routing,
+            rng,
             global: JobQueue::new(),
-        }
-    }
-
-    /// Whether the global scheduler may act now: its queue is enabled and
-    /// at least one local queue is empty.
-    fn global_may_schedule(&self) -> bool {
-        self.global.is_enabled() && self.locals.any_empty()
-    }
-
-    fn try_start_global(
-        &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
-        obs: &mut dyn SimObserver,
-    ) -> Option<JobId> {
-        let head = self.global.head()?;
-        let ok = self.locals.flex_try_start(
-            now,
-            system,
-            table,
-            head,
-            SubmitQueue::Global,
-            PlacementScope::System,
-            obs,
-            None,
-        );
-        if ok {
-            self.global.pop();
-            Some(head)
-        } else {
-            self.global.disable_observed(now, SubmitQueue::Global, obs);
-            None
-        }
-    }
-
-    /// The global queue's backfilling scan (EASY/conservative). Runs
-    /// only while the priority gate is open — backfilled global jobs are
-    /// still global jobs, so "the global scheduler can schedule jobs
-    /// only when at least one local queue is empty" applies to them too.
-    /// The disable latch does not block the scan: it pins the head,
-    /// whose shadow reservation the scan protects.
-    fn backfill_global(
-        &mut self,
-        now: SimTime,
-        system: &mut MultiCluster,
-        table: &mut JobTable,
-        obs: &mut dyn SimObserver,
-        started: &mut Vec<JobId>,
-    ) {
-        if self.global.len() < 2 || !self.locals.any_empty() {
-            return;
-        }
-        let head = self.global.head().expect("len >= 2");
-        let mut bound = self.locals.flex_shadow(
-            system.idle_per_cluster(),
-            &table.get(head).spec.request,
-            PlacementScope::System,
-            now.seconds(),
-        );
-        let conservative = self.locals.conservative();
-        let mut pos = 1;
-        while pos < self.global.len() {
-            let id = self.global.get(pos).expect("pos < len");
-            let ok = self.locals.flex_try_start(
-                now,
-                system,
-                table,
-                id,
-                SubmitQueue::Global,
-                PlacementScope::System,
-                obs,
-                Some(bound),
-            );
-            if ok {
-                self.global.remove(pos);
-                started.push(id);
-            } else {
-                if conservative {
-                    let shadow = self.locals.flex_shadow(
-                        system.idle_per_cluster(),
-                        &table.get(id).spec.request,
-                        PlacementScope::System,
-                        now.seconds(),
-                    );
-                    bound = bound.min(shadow);
-                }
-                pos += 1;
-            }
+            flex: FlexEngine::new(rule, opts),
         }
     }
 }
@@ -175,14 +92,14 @@ impl Scheduler for LocalPriority {
             // cluster it names.
             SubmitQueue::Local(spec.request.targets().expect("ordered")[0])
         } else {
-            SubmitQueue::Local(self.locals.pick())
+            SubmitQueue::Local(self.routing.pick(&mut self.rng))
         }
     }
 
     fn enqueue(&mut self, id: JobId, queue: SubmitQueue) {
         match queue {
             SubmitQueue::Global => self.global.push(id),
-            SubmitQueue::Local(q) => self.locals.push(q, id),
+            SubmitQueue::Local(q) => self.queues.queue_mut(q).push(id),
         }
     }
 
@@ -190,8 +107,8 @@ impl Scheduler for LocalPriority {
         // Locals are always re-enabled; the global queue only when some
         // local queue is empty ("starting with the global queue" is
         // realized by visiting it first in every scheduling round).
-        self.locals.enable_all();
-        if self.locals.any_empty() {
+        self.queues.enable_all();
+        if self.queues.any_empty() {
             self.global.enable();
         }
     }
@@ -199,7 +116,7 @@ impl Scheduler for LocalPriority {
     fn requeue_front(&mut self, id: JobId, queue: SubmitQueue) {
         match queue {
             SubmitQueue::Global => self.global.push_front(id),
-            SubmitQueue::Local(q) => self.locals.push_front(q, id),
+            SubmitQueue::Local(q) => self.queues.queue_mut(q).push_front(id),
         }
     }
 
@@ -211,66 +128,73 @@ impl Scheduler for LocalPriority {
         obs: &mut dyn SimObserver,
         started: &mut Vec<JobId>,
     ) {
+        let mut p = Pass { now, system, table, obs, started };
+        let global_scope = |_: &_| PlacementScope::System;
         loop {
             let mut progress = false;
-            // The global queue is visited first whenever it may schedule.
-            if self.global_may_schedule() {
-                if let Some(id) = self.try_start_global(now, system, table, obs) {
-                    started.push(id);
+            // The global queue is visited first whenever it may
+            // schedule: it is enabled and at least one local queue is
+            // empty.
+            if self.global.is_enabled() && self.queues.any_empty() {
+                if self.flex.start_head(&mut p, &mut self.global, SubmitQueue::Global, global_scope)
+                {
                     progress = true;
+                } else if !self.global.is_empty() {
+                    self.global.disable_observed(now, SubmitQueue::Global, p.obs);
                 }
             }
-            for q in 0..self.locals.len() {
-                if !self.locals.is_enabled(q) {
+            for q in 0..self.queues.len() {
+                let queue = self.queues.queue_mut(q);
+                if !queue.is_enabled() || queue.is_empty() {
                     continue;
                 }
-                // Ordered single-component jobs name their cluster
-                // themselves; everything else is confined to the queue's
-                // own cluster.
-                let attempt =
-                    self.locals.try_start(q, now, system, table, obs, |job| lp_local_scope(job, q));
-                if let TryStart::Started(id) = attempt {
-                    started.push(id);
+                let label = SubmitQueue::Local(q);
+                if self.flex.start_head(&mut p, queue, label, |job| lp_local_scope(job, q)) {
                     progress = true;
                     // "The global queue is enabled … when at least one of
                     // the local queues gets empty."
-                    if self.locals.is_empty(q) {
+                    if self.queues.queue(q).is_empty() {
                         self.global.enable();
                     }
+                } else {
+                    self.queues.disable_observed(q, now, p.obs);
                 }
             }
             if !progress {
                 break;
             }
         }
-        if self.locals.backfills() {
-            self.backfill_global(now, system, table, obs, started);
-            for q in 0..self.locals.len() {
-                self.locals.backfill_queue(q, now, system, table, obs, started, |job| {
-                    lp_local_scope(job, q)
-                });
-            }
+        // Backfilling (EASY/conservative). Backfilled global jobs are
+        // still global jobs, so "the global scheduler can schedule jobs
+        // only when at least one local queue is empty" applies to them
+        // too.
+        if self.queues.any_empty() {
+            self.flex.backfill(&mut p, &mut self.global, SubmitQueue::Global, global_scope);
+        }
+        for q in 0..self.queues.len() {
+            let queue = self.queues.queue_mut(q);
+            self.flex.backfill(&mut p, queue, SubmitQueue::Local(q), |job| lp_local_scope(job, q));
         }
     }
 
     fn job_departed(&mut self, id: JobId) {
-        self.locals.note_departed(id);
+        self.flex.note_departed(id);
     }
 
     fn job_resized(&mut self, now: SimTime, id: JobId, new_placement: &Placement) {
-        self.locals.note_resized(now, id, new_placement);
+        self.flex.note_resized(now, id, new_placement);
     }
 
     fn queued(&self) -> usize {
-        self.locals.total_queued() + self.global.len()
+        self.queues.total_queued() + self.global.len()
     }
 
     fn num_queues(&self) -> usize {
-        self.locals.len() + 1
+        self.queues.len() + 1
     }
 
     fn queue_lengths_into(&self, out: &mut Vec<usize>) {
-        self.locals.lengths_into(out);
+        out.extend(self.queues.lengths());
         out.push(self.global.len());
     }
 }

@@ -22,10 +22,10 @@ use desim::{RngStream, SimTime};
 use crate::audit::{PlacementScope, SimObserver};
 use crate::job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
 use crate::placement::PlacementRule;
+use crate::queue::QueueSet;
 use crate::system::MultiCluster;
 
-use super::local::{LocalQueues, TryStart};
-use super::{PolicyOptions, Scheduler};
+use super::{FlexEngine, Pass, PolicyOptions, Scheduler};
 
 /// The scope LS places a job under: multi-component (and ordered) jobs
 /// are co-allocated system-wide, single-component jobs are confined to
@@ -41,7 +41,10 @@ fn ls_scope(job: &ActiveJob, q: usize) -> PlacementScope {
 /// The LS policy: one local FCFS queue per cluster.
 #[derive(Debug)]
 pub struct LocalSchedulers {
-    locals: LocalQueues,
+    queues: QueueSet,
+    routing: QueueRouting,
+    rng: RngStream,
+    flex: FlexEngine,
     /// Enabled queues in visiting order: initially cluster order; queues
     /// drop out when disabled and re-join in disable order at departures.
     visit: Vec<usize>,
@@ -71,8 +74,12 @@ impl LocalSchedulers {
         rule: PlacementRule,
         opts: PolicyOptions,
     ) -> Self {
+        assert_eq!(routing.queues(), clusters, "routing must cover exactly the local queues");
         LocalSchedulers {
-            locals: LocalQueues::with_options(clusters, routing, rng, rule, opts),
+            queues: QueueSet::new(clusters),
+            routing,
+            rng,
+            flex: FlexEngine::new(rule, opts),
             visit: (0..clusters).collect(),
             round: Vec::with_capacity(clusters),
         }
@@ -85,12 +92,12 @@ impl Scheduler for LocalSchedulers {
     }
 
     fn route(&mut self, _spec: &JobSpec) -> SubmitQueue {
-        SubmitQueue::Local(self.locals.pick())
+        SubmitQueue::Local(self.routing.pick(&mut self.rng))
     }
 
     fn enqueue(&mut self, id: JobId, queue: SubmitQueue) {
         match queue {
-            SubmitQueue::Local(q) => self.locals.push(q, id),
+            SubmitQueue::Local(q) => self.queues.queue_mut(q).push(id),
             SubmitQueue::Global => panic!("LS has no global queue"),
         }
     }
@@ -98,12 +105,12 @@ impl Scheduler for LocalSchedulers {
     fn on_departure(&mut self) {
         // Disabled queues re-join the visit order in disable order,
         // appended straight into the reused `visit` buffer.
-        self.locals.enable_all_into(&mut self.visit);
+        self.queues.enable_all_into(&mut self.visit);
     }
 
     fn requeue_front(&mut self, id: JobId, queue: SubmitQueue) {
         match queue {
-            SubmitQueue::Local(q) => self.locals.push_front(q, id),
+            SubmitQueue::Local(q) => self.queues.queue_mut(q).push_front(id),
             SubmitQueue::Global => panic!("LS has no global queue"),
         }
     }
@@ -116,7 +123,8 @@ impl Scheduler for LocalSchedulers {
         obs: &mut dyn SimObserver,
         started: &mut Vec<JobId>,
     ) {
-        // `round` is swapped out of self so try_start can borrow self
+        let mut p = Pass { now, system, table, obs, started };
+        // `round` is swapped out of self so the visits can borrow self
         // mutably; its capacity survives the swap (mem::take leaves an
         // unallocated empty Vec behind for the duration of the pass).
         let mut round = std::mem::take(&mut self.round);
@@ -127,22 +135,16 @@ impl Scheduler for LocalSchedulers {
             round.clear();
             round.extend_from_slice(&self.visit);
             for &q in &round {
-                if !self.locals.is_enabled(q) {
-                    continue; // disabled earlier in this pass
+                let queue = self.queues.queue_mut(q);
+                if !queue.is_enabled() || queue.is_empty() {
+                    continue; // disabled earlier in this pass, or idle
                 }
-                // Multi-component jobs are co-allocated over the whole
-                // system; single-component jobs run only on the local
-                // cluster — except ordered requests, which name their
-                // cluster themselves.
-                let attempt =
-                    self.locals.try_start(q, now, system, table, obs, |job| ls_scope(job, q));
-                match attempt {
-                    TryStart::Started(id) => {
-                        started.push(id);
-                        progress = true;
-                    }
-                    TryStart::Disabled => self.visit.retain(|&x| x != q),
-                    TryStart::Empty => {}
+                let label = SubmitQueue::Local(q);
+                if self.flex.start_head(&mut p, queue, label, |job| ls_scope(job, q)) {
+                    progress = true;
+                } else {
+                    self.queues.disable_observed(q, now, p.obs);
+                    self.visit.retain(|&x| x != q);
                 }
             }
             if !progress {
@@ -155,32 +157,30 @@ impl Scheduler for LocalSchedulers {
         // number of clusters"); the disciplines add the within-queue
         // dimension, scanning past each blocked head under its shadow
         // reservation.
-        if self.locals.backfills() {
-            for q in 0..self.locals.len() {
-                self.locals
-                    .backfill_queue(q, now, system, table, obs, started, |job| ls_scope(job, q));
-            }
+        for q in 0..self.queues.len() {
+            let queue = self.queues.queue_mut(q);
+            self.flex.backfill(&mut p, queue, SubmitQueue::Local(q), |job| ls_scope(job, q));
         }
     }
 
     fn job_departed(&mut self, id: JobId) {
-        self.locals.note_departed(id);
+        self.flex.note_departed(id);
     }
 
     fn job_resized(&mut self, now: SimTime, id: JobId, new_placement: &Placement) {
-        self.locals.note_resized(now, id, new_placement);
+        self.flex.note_resized(now, id, new_placement);
     }
 
     fn queued(&self) -> usize {
-        self.locals.total_queued()
+        self.queues.total_queued()
     }
 
     fn num_queues(&self) -> usize {
-        self.locals.len()
+        self.queues.len()
     }
 
     fn queue_lengths_into(&self, out: &mut Vec<usize>) {
-        self.locals.lengths_into(out);
+        out.extend(self.queues.lengths());
     }
 }
 

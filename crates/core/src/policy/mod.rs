@@ -8,19 +8,16 @@
 mod flex;
 mod gb;
 mod gs;
-mod local;
 mod lp;
 mod ls;
-mod sc;
 
 pub use flex::PolicyOptions;
 pub use gb::GlobalBackfill;
 pub use gs::GlobalScheduler;
 pub use lp::LocalPriority;
 pub use ls::LocalSchedulers;
-pub use sc::{single_cluster_policy, single_cluster_policy_with};
 
-pub(crate) use flex::{estimated_occupancy, replay_shadow, FlexEngine};
+pub(crate) use flex::{estimated_occupancy, replay_shadow, FlexEngine, Pass};
 
 use coalloc_workload::{JobSpec, QueueRouting};
 use desim::{RngStream, SimTime};
@@ -48,8 +45,8 @@ use crate::system::{MultiCluster, SystemSpec};
 ///   appends. Any internal per-pass working set (e.g. LS's round
 ///   snapshot) must likewise live in a reused buffer owned by the
 ///   scheduler.
-/// * [`Scheduler::queued`] is **O(1)**: policies maintain a running
-///   counter (or sum O(1) queue lengths) instead of walking queues —
+/// * [`Scheduler::queued`] never walks a queue: policies sum one O(1)
+///   length per queue (one per cluster at most, plus a global queue) —
 ///   the loop reads it after every event for backlog tracking.
 /// * [`Scheduler::on_departure`] re-enables queues in place; it must
 ///   not return or build collections.
@@ -143,9 +140,9 @@ pub trait Scheduler: Send {
         self.schedule_observed(now, system, table, &mut NullObserver)
     }
 
-    /// Number of jobs currently waiting in all queues. O(1) — see the
-    /// allocation-free contract; always equals the sum of
-    /// [`Scheduler::queue_lengths`].
+    /// Number of jobs currently waiting in all queues, summed from the
+    /// queues' lengths without walking them — see the allocation-free
+    /// contract; always equals the sum of [`Scheduler::queue_lengths`].
     fn queued(&self) -> usize;
 
     /// Number of queues this policy schedules from (local queues first,
@@ -202,10 +199,12 @@ impl PolicyKind {
         matches!(self, PolicyKind::Ls | PolicyKind::Lp)
     }
 
-    /// Builds the scheduler for the given system. `routing` is used by
-    /// LS (all jobs) and LP (single-component jobs) and must have one
-    /// weight per cluster of `system`; `rng` drives routing decisions;
-    /// `rule` is the placement rule (the paper uses Worst Fit).
+    /// Builds the scheduler for the given system with the default
+    /// options (rigid jobs, strict FCFS), which reproduce the paper's
+    /// model exactly. `routing` is used by LS (all jobs) and LP
+    /// (single-component jobs) and must have one weight per cluster of
+    /// `system`; `rng` drives routing decisions; `rule` is the placement
+    /// rule (the paper uses Worst Fit).
     pub fn build(
         self,
         system: &SystemSpec,
@@ -213,32 +212,12 @@ impl PolicyKind {
         rng: RngStream,
         rule: PlacementRule,
     ) -> Box<dyn Scheduler> {
-        self.build_with(system, routing, rng, rule, PolicyOptions::default())
-    }
-
-    /// [`PolicyKind::build`] with explicit [`PolicyOptions`] — the
-    /// disposition/discipline axes of the extended model. The plain
-    /// `build` uses the defaults (rigid jobs, strict FCFS), which
-    /// reproduce the paper's model exactly.
-    pub fn build_with(
-        self,
-        system: &SystemSpec,
-        routing: QueueRouting,
-        rng: RngStream,
-        rule: PlacementRule,
-        opts: PolicyOptions,
-    ) -> Box<dyn Scheduler> {
         let clusters = system.num_clusters();
         match self {
-            PolicyKind::Gs => Box::new(GlobalScheduler::with_options(rule, opts)),
-            PolicyKind::Ls => {
-                Box::new(LocalSchedulers::with_options(clusters, routing, rng, rule, opts))
-            }
-            PolicyKind::Lp => {
-                Box::new(LocalPriority::with_options(clusters, routing, rng, rule, opts))
-            }
-            PolicyKind::Sc => Box::new(single_cluster_policy_with(rule, opts)),
-            PolicyKind::Gb => Box::new(GlobalBackfill::with_options(rule, opts)),
+            PolicyKind::Gs | PolicyKind::Sc => Box::new(GlobalScheduler::new(rule)),
+            PolicyKind::Ls => Box::new(LocalSchedulers::new(clusters, routing, rng, rule)),
+            PolicyKind::Lp => Box::new(LocalPriority::new(clusters, routing, rng, rule)),
+            PolicyKind::Gb => Box::new(GlobalBackfill::new(rule)),
         }
     }
 }

@@ -114,15 +114,10 @@ impl JobQueue {
         self.items.get(i).copied()
     }
 
-    /// Removes and returns the job at position `i` — the backfilling
-    /// disciplines' mid-queue extraction (FCFS only ever pops the head).
+    /// Removes and returns the job at position `i` — a scan's mid-queue
+    /// extraction (backfilling, and GB's pass; a head step only pops).
     pub fn remove(&mut self, i: usize) -> Option<JobId> {
         self.items.remove(i)
-    }
-
-    /// Iterates the waiting jobs in queue order (head first).
-    pub fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.items.iter().copied()
     }
 
     /// Number of waiting jobs.
@@ -169,28 +164,20 @@ impl JobQueue {
 /// A set of queues plus the disable-order bookkeeping the paper's LS and
 /// LP policies require.
 ///
-/// Pushes and pops must go through [`QueueSet::push`]/[`QueueSet::pop`]
-/// so the set can keep an O(1) total-queued counter — the simulation
-/// loop reads that total after every event, and re-summing the queues
-/// there would put an O(clusters) walk on the hot path.
+/// Jobs enter and leave through [`QueueSet::queue_mut`]; a queue is
+/// disabled through the set, so the set records the disable order.
 #[derive(Clone, Debug, Default)]
 pub struct QueueSet {
     queues: Vec<JobQueue>,
     /// Indices of disabled queues, in the order they were disabled.
     disabled_order: Vec<usize>,
-    /// Jobs waiting across all queues (kept in sync by push/pop).
-    queued: usize,
 }
 
 impl QueueSet {
     /// `n` empty, enabled queues.
     pub fn new(n: usize) -> Self {
         assert!(n > 0);
-        QueueSet {
-            queues: (0..n).map(|_| JobQueue::new()).collect(),
-            disabled_order: Vec::new(),
-            queued: 0,
-        }
+        QueueSet { queues: (0..n).map(|_| JobQueue::new()).collect(), disabled_order: Vec::new() }
     }
 
     /// Number of queues.
@@ -208,38 +195,9 @@ impl QueueSet {
         &self.queues[i]
     }
 
-    /// Appends a job to queue `i`, maintaining the total-queued counter.
-    pub fn push(&mut self, i: usize, id: JobId) {
-        self.queues[i].push(id);
-        self.queued += 1;
-    }
-
-    /// Prepends a job to queue `i`, maintaining the total-queued counter
-    /// (see [`JobQueue::push_front`]).
-    pub fn push_front(&mut self, i: usize, id: JobId) {
-        self.queues[i].push_front(id);
-        self.queued += 1;
-    }
-
-    /// Removes and returns the head of queue `i`, maintaining the
-    /// total-queued counter.
-    pub fn pop(&mut self, i: usize) -> Option<JobId> {
-        let id = self.queues[i].pop();
-        if id.is_some() {
-            self.queued -= 1;
-        }
-        id
-    }
-
-    /// Removes and returns the job at position `pos` of queue `i`,
-    /// maintaining the total-queued counter (backfilling's mid-queue
-    /// extraction).
-    pub fn remove(&mut self, i: usize, pos: usize) -> Option<JobId> {
-        let id = self.queues[i].remove(pos);
-        if id.is_some() {
-            self.queued -= 1;
-        }
-        id
+    /// Mutable access to one queue, to push, pop or start its jobs.
+    pub fn queue_mut(&mut self, i: usize) -> &mut JobQueue {
+        &mut self.queues[i]
     }
 
     /// Disables queue `i`, recording its position in the disable order.
@@ -287,11 +245,15 @@ impl QueueSet {
         (0..self.queues.len()).filter(|&i| self.queues[i].is_enabled()).collect()
     }
 
-    /// Total jobs waiting across all queues — O(1), from the counter
-    /// maintained by [`QueueSet::push`]/[`QueueSet::pop`].
+    /// Every queue's length, in queue order.
+    pub fn lengths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queues.iter().map(JobQueue::len)
+    }
+
+    /// Total jobs waiting across all queues: a sum of one O(1) length
+    /// per queue (one per cluster).
     pub fn total_queued(&self) -> usize {
-        debug_assert_eq!(self.queued, self.queues.iter().map(JobQueue::len).sum::<usize>());
-        self.queued
+        self.lengths().sum()
     }
 
     /// Whether at least one queue is empty (LP's global-queue gate).
@@ -373,30 +335,23 @@ mod tests {
         assert_eq!(q.head(), Some(JobId(9)));
         assert_eq!(q.pop(), Some(JobId(9)));
         assert_eq!(q.pop(), Some(JobId(1)));
-
-        let mut s = QueueSet::new(2);
-        s.push(1, JobId(1));
-        s.push_front(1, JobId(7));
-        assert_eq!(s.total_queued(), 2, "push_front maintains the counter");
-        assert_eq!(s.pop(1), Some(JobId(7)));
-        assert_eq!(s.total_queued(), 1);
     }
 
     #[test]
     fn queue_set_counters() {
         let mut s = QueueSet::new(3);
-        s.push(0, JobId(1));
-        s.push(0, JobId(2));
-        s.push(2, JobId(3));
+        s.queue_mut(0).push(JobId(1));
+        s.queue_mut(0).push(JobId(2));
+        s.queue_mut(2).push(JobId(3));
         assert_eq!(s.total_queued(), 3);
         assert!(s.any_empty(), "queue 1 is empty");
-        s.push(1, JobId(4));
+        s.queue_mut(1).push_front(JobId(4));
         assert!(!s.any_empty());
         assert_eq!(s.len(), 3);
-        assert_eq!(s.pop(0), Some(JobId(1)));
-        assert_eq!(s.total_queued(), 3);
-        assert_eq!(s.pop(1), Some(JobId(4)));
-        assert_eq!(s.pop(1), None, "empty pop leaves the counter alone");
+        assert_eq!(s.queue_mut(0).pop(), Some(JobId(1)));
+        assert_eq!(s.queue_mut(1).pop(), Some(JobId(4)));
+        assert_eq!(s.queue_mut(1).pop(), None);
+        assert_eq!(s.lengths().collect::<Vec<_>>(), vec![1, 0, 1]);
         assert_eq!(s.total_queued(), 2);
     }
 }

@@ -265,7 +265,7 @@ impl<'a> SimBuilder<'a> {
         let clusters = cfg.system.num_clusters();
         let (routing, rule, model) = (cfg.routing.clone(), cfg.rule, self.model);
         match cfg.policy {
-            PolicyKind::Gs => {
+            PolicyKind::Gs | PolicyKind::Sc => {
                 let mut s = crate::policy::GlobalScheduler::with_options(rule, opts);
                 Session::new(cfg, feed, &mut s, obs, offered, model).run()
             }
@@ -287,10 +287,6 @@ impl<'a> SimBuilder<'a> {
                     rule,
                     opts,
                 );
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Sc => {
-                let mut s = crate::policy::single_cluster_policy_with(rule, opts);
                 Session::new(cfg, feed, &mut s, obs, offered, model).run()
             }
             PolicyKind::Gb => {

@@ -156,23 +156,6 @@ impl JobRequest {
         }
     }
 
-    /// Builds the unordered request that splits `total` evenly into
-    /// exactly `n` components (non-increasing by construction) — the
-    /// candidate generator of the moldable disposition, which probes
-    /// successive `n` against the current idle vector.
-    ///
-    /// # Panics
-    /// Panics when `total < n` (a component would be empty) or `n == 0`.
-    pub fn even_split(total: u32, n: usize) -> Self {
-        assert!(n > 0, "a request needs at least one component");
-        JobRequest {
-            components: Components::from_even_split(total, n),
-            targets: None,
-            kind: RequestKind::Unordered,
-            estimate: None,
-        }
-    }
-
     /// A single-component (total) request.
     pub fn total_request(total: u32) -> Self {
         assert!(total > 0, "a request needs at least one processor");

@@ -8,9 +8,10 @@
 //! rounding; it is far below any behavioural change.
 
 use coalloc::core::{
-    maximal_utilization, InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind, SaturationConfig,
-    SimBuilder, SimConfig,
+    maximal_utilization, FaultSpec, InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind,
+    QueueDiscipline, SaturationConfig, SimBuilder, SimConfig,
 };
+use coalloc::workload::JobDisposition;
 
 const TOL: f64 = 1e-6;
 
@@ -190,4 +191,98 @@ fn golden_job_stream() {
         vec![(2, 1), (1, 1), (64, 4), (8, 1), (5, 1), (64, 4), (1, 1), (2, 1)],
         "job stream changed — was an RNG or distribution change intended?"
     );
+}
+
+/// 64-bit FNV-1a: a hash whose value is fixed by its definition, unlike
+/// std's `DefaultHasher`, which may change between Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// One extended-schedule case: seed 2003, 1 500 jobs, offered gross
+/// utilization 0.6, SC on its one cluster, the others on 4×32 at
+/// limit 16. Returns the pinned triple: the mean response's bit
+/// pattern, the completed count, and the FNV-1a of the JSONL log.
+fn extended_case(
+    policy: PolicyKind,
+    disposition: JobDisposition,
+    discipline: QueueDiscipline,
+    faulty: bool,
+) -> (u64, u64, u64) {
+    let mut cfg = if policy == PolicyKind::Sc {
+        SimConfig::das_single_cluster(0.6)
+    } else {
+        SimConfig::das(policy, 16, 0.6)
+    };
+    cfg.total_jobs = 1_500;
+    cfg.warmup_jobs = 150;
+    cfg.disposition = disposition;
+    cfg.discipline = discipline;
+    if faulty {
+        cfg.faults = Some(FaultSpec::Exponential { mttf: 60_000.0, mttr: 5_000.0 });
+    }
+    let mut sink = JsonlSink::new(Vec::new());
+    let out = SimBuilder::new(&cfg).run_observed(&mut sink);
+    let log = sink.finish().expect("writing to a Vec cannot fail");
+    (out.metrics.mean_response.to_bits(), out.completed, fnv1a64(&log))
+}
+
+#[test]
+fn golden_extended_schedules_per_policy() {
+    // Every policy under {fcfs, easy, conservative} x {rigid, moldable},
+    // plus one malleable conservative run with exp:60000:5000 faults.
+    // The invariant auditor accepts any legal schedule, so these pin the
+    // one the policies choose: a refactor that backfilled a different
+    // legal job, or re-split a job differently, moves the log hash.
+    use JobDisposition::{Malleable, Moldable, Rigid};
+    use PolicyKind::{Gb, Gs, Lp, Ls, Sc};
+    use QueueDiscipline::{Conservative as Cons, Easy, Fcfs};
+    let golden = [
+        (Gs, Rigid, Fcfs, false, 0x40972aadb8fa7643, 1500, 0xc887d4bd487d7e76),
+        (Gs, Rigid, Easy, false, 0x408437816c3e7437, 1500, 0xac04ca3f6041b2b6),
+        (Gs, Rigid, Cons, false, 0x408c3b5ccef1f116, 1500, 0x2e2d9c0ced347e80),
+        (Gs, Moldable, Fcfs, false, 0x4095a9359b5fbcc9, 1500, 0x7e75a4aff85ac1b5),
+        (Gs, Moldable, Easy, false, 0x408241bceaa1eab0, 1500, 0xed8dc30aa83820eb),
+        (Gs, Moldable, Cons, false, 0x408a39f346d4cfd3, 1500, 0xa69af92c6fd5fe29),
+        (Gs, Malleable, Cons, true, 0x4096cec7598574c7, 1500, 0x1fb87355998cf689),
+        (Ls, Rigid, Fcfs, false, 0x409e24fed1915ab5, 1500, 0xa3a8da414f908d02),
+        (Ls, Rigid, Easy, false, 0x4087558124f2434d, 1500, 0x2921fb16846e334c),
+        (Ls, Rigid, Cons, false, 0x4089a85a8af8b8c3, 1500, 0x51c996253f61e0e6),
+        (Ls, Moldable, Fcfs, false, 0x40a0a783725d615c, 1500, 0xe3e6fc85c90b6f3e),
+        (Ls, Moldable, Easy, false, 0x408553abac2a6b53, 1500, 0x0df4a0a8db5d274a),
+        (Ls, Moldable, Cons, false, 0x408857fa07e33a76, 1500, 0x8fa3581267db98e5),
+        (Ls, Malleable, Cons, true, 0x409eaf69a17b22f8, 1500, 0xe09c23a30a0545c1),
+        (Lp, Rigid, Fcfs, false, 0x40a6fbe54bd813f4, 1500, 0xd95c14141168816d),
+        (Lp, Rigid, Easy, false, 0x4085c6f79684ea5e, 1500, 0x09dbc9a4278087d2),
+        (Lp, Rigid, Cons, false, 0x409870d6a4bdcb2d, 1500, 0x48a683ead65cab34),
+        (Lp, Moldable, Fcfs, false, 0x40a046fd35ff6968, 1500, 0x33d95a19c5ffa958),
+        (Lp, Moldable, Easy, false, 0x4084699120a01bf0, 1500, 0x81d2706d82333a34),
+        (Lp, Moldable, Cons, false, 0x4095d476df084a0f, 1500, 0x0522ce294d053229),
+        (Lp, Malleable, Cons, true, 0x409f694aa0ba19d3, 1500, 0x36e1f96b05b891ee),
+        (Sc, Rigid, Fcfs, false, 0x408b3f501d99b789, 1500, 0x43d9b802c5e154bd),
+        (Sc, Rigid, Easy, false, 0x407e2a2e3bdfe30a, 1500, 0x76de5fc75f8707a4),
+        (Sc, Rigid, Cons, false, 0x4083d3aaeeb7d3fb, 1500, 0x2d8a84f0de2238d9),
+        (Sc, Moldable, Fcfs, false, 0x408b3f501d99b789, 1500, 0x43d9b802c5e154bd),
+        (Sc, Moldable, Easy, false, 0x407e2a2e3bdfe30a, 1500, 0x76de5fc75f8707a4),
+        (Sc, Moldable, Cons, false, 0x4083d3aaeeb7d3fb, 1500, 0x2d8a84f0de2238d9),
+        (Sc, Malleable, Cons, true, 0x40be2e0ad2e21850, 1500, 0x7bf05972dda0d61d),
+        (Gb, Rigid, Fcfs, false, 0x4086036af3a1c16f, 1500, 0xbf1fd5781584d91b),
+        (Gb, Rigid, Easy, false, 0x408437816c3e7437, 1500, 0x8a04b6658091a1f8),
+        (Gb, Rigid, Cons, false, 0x408c3b5ccef1f116, 1500, 0x83084dfb246a63a3),
+        (Gb, Moldable, Fcfs, false, 0x4084d9291103342a, 1500, 0x2859c3b3a6ba279a),
+        (Gb, Moldable, Easy, false, 0x408241bceaa1eab0, 1500, 0xfc17f82c76a5bab8),
+        (Gb, Moldable, Cons, false, 0x408a39f346d4cfd3, 1500, 0xd6ced936f7d57324),
+        (Gb, Malleable, Cons, true, 0x4096cec7598574c7, 1500, 0x616b044dad0229b1),
+    ];
+    for (policy, disposition, discipline, faulty, resp, completed, log) in golden {
+        let got = extended_case(policy, disposition, discipline, faulty);
+        assert_eq!(
+            got,
+            (resp, completed, log),
+            "{policy} {disposition:?} {discipline:?} faulty={faulty}: mean response {}",
+            f64::from_bits(got.0)
+        );
+    }
 }
