@@ -87,7 +87,7 @@ pub enum ViolationKind {
     /// the resize released a placement the job did not hold.
     ResizeConservation,
     /// Under a bandwidth-sharing network model
-    /// ([`crate::OccupancyModel::Network`]), a multi-cluster job's
+    /// ([`crate::sim::NetworkSpec`]), a multi-cluster job's
     /// gross work was not conserved: the departure or resize time the
     /// engine scheduled disagrees with the auditor's independently
     /// mirrored max-min fair flow rates — work was created, destroyed,

@@ -7,16 +7,16 @@
 use coalloc_workload::{JobRequest, JobSpec, Workload};
 use desim::{Duration, SimTime};
 
-use crate::feed::JobFeed;
+use crate::feed::{JobFeed, StochasticFeed};
 use crate::job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
 use crate::placement::{place_request, PlacementRule};
 use crate::policy::{GlobalScheduler, PolicyKind, Scheduler};
-use crate::sim::{OccupancyModel, SimBuilder, SimConfig};
+use crate::sim::{OccupancyModel, Session, SimBuilder, SimConfig, SimOutcome};
 use crate::system::{MultiCluster, SystemSpec};
 
 use super::{
-    Interruption, InvariantAuditor, PassTrigger, PlacementDecision, PlacementScope, SimObserver,
-    ViolationKind,
+    Interruption, InvariantAuditor, JsonlSink, PassTrigger, PlacementDecision, PlacementScope,
+    SimObserver, ViolationKind,
 };
 use crate::fault::InterruptPolicy;
 
@@ -59,6 +59,49 @@ fn scripted_cfg(jobs: u64) -> SimConfig {
     cfg.warmup_jobs = 0;
     cfg.batch_size = 1;
     cfg
+}
+
+/// Runs `feed` through the real event loop under an explicit, boxed
+/// scheduler and occupancy model: the seam every mutant is wired in
+/// through. Release builds have no such seam — [`SimBuilder`] always
+/// builds the config's own policy.
+fn run_seeded<F: JobFeed, O: SimObserver>(
+    cfg: &SimConfig,
+    feed: &mut F,
+    mut policy: Box<dyn Scheduler>,
+    model: OccupancyModel,
+    obs: &mut O,
+    offered: f64,
+) -> SimOutcome {
+    Session::new(cfg, feed, policy.as_mut(), obs, offered, model).run()
+}
+
+#[test]
+fn an_explicit_scheduler_reproduces_the_config_built_one() {
+    // The seam itself is faithful: the config's own policy wired in
+    // through it reproduces the builder's run bit for bit, so a
+    // mutant's violations come from its seeded bug alone.
+    let mut cfg = SimConfig::das(PolicyKind::Gb, 16, 0.5);
+    cfg.total_jobs = 4_000;
+    cfg.warmup_jobs = 400;
+    cfg.batch_size = 100;
+    let master = desim::RngStream::new(cfg.seed);
+    let policy =
+        cfg.policy.build(&cfg.system, cfg.routing.clone(), master.labelled("routing"), cfg.rule);
+    let mut feed = StochasticFeed::new(
+        cfg.workload.clone(),
+        cfg.arrival_rate,
+        cfg.arrival_cv2,
+        cfg.total_jobs,
+        &master,
+    );
+    let mut sink = JsonlSink::new(Vec::new());
+    let offered = cfg.offered_gross_utilization();
+    let explicit =
+        run_seeded(&cfg, &mut feed, policy, OccupancyModel::Faithful, &mut sink, offered);
+    assert!(!sink.finish().expect("log written").is_empty());
+    let json = |out: &SimOutcome| serde_json::to_string(out).expect("SimOutcome serializes");
+    assert_eq!(json(&explicit), json(&SimBuilder::new(&cfg).run()), "explicit scheduler vs run");
 }
 
 // ---------------------------------------------------------------------
@@ -149,7 +192,7 @@ fn overtaking_mutant_trips_fcfs_overtaking() {
         queue: std::collections::VecDeque::new(),
         rule: PlacementRule::WorstFit,
     });
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    run_seeded(&cfg, &mut feed, policy, OccupancyModel::Faithful, &mut auditor, f64::NAN);
     assert!(
         auditor.has(ViolationKind::FcfsOvertaking),
         "expected FcfsOvertaking, got: {}",
@@ -175,7 +218,7 @@ fn overtaking_is_by_design_for_gb() {
         queue: std::collections::VecDeque::new(),
         rule: PlacementRule::WorstFit,
     });
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    run_seeded(&cfg, &mut feed, policy, OccupancyModel::Faithful, &mut auditor, f64::NAN);
     auditor.assert_clean();
 }
 
@@ -193,7 +236,7 @@ fn best_fit_mutant_trips_placement_rule_violation() {
     let mut feed = VecFeed::new(&[(0.0, &[16], 1000.0), (1.0, &[8], 1000.0)]);
     let mut auditor = InvariantAuditor::new(&cfg);
     let policy = Box::new(GlobalScheduler::new(PlacementRule::BestFit));
-    SimBuilder::new(&cfg).scheduler(policy).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    run_seeded(&cfg, &mut feed, policy, OccupancyModel::Faithful, &mut auditor, f64::NAN);
     assert!(
         auditor.has(ViolationKind::PlacementRuleViolation),
         "expected PlacementRuleViolation, got: {}",
@@ -217,10 +260,7 @@ fn double_extension_mutant_trips_extension_mismatch() {
     let mut feed = VecFeed::new(&[(0.0, &[32, 32], 100.0), (1.0, &[8], 100.0)]);
     let mut auditor = InvariantAuditor::new(&cfg);
     let policy = Box::new(GlobalScheduler::new(PlacementRule::WorstFit));
-    SimBuilder::new(&cfg)
-        .scheduler(policy)
-        .occupancy(OccupancyModel::DoubleExtension)
-        .run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    run_seeded(&cfg, &mut feed, policy, OccupancyModel::DoubleExtension, &mut auditor, f64::NAN);
     assert!(
         auditor.has(ViolationKind::ExtensionMismatch),
         "expected ExtensionMismatch, got: {}",
@@ -238,10 +278,7 @@ fn double_extension_is_invisible_on_single_component_jobs() {
     let mut feed = VecFeed::new(&[(0.0, &[8], 100.0), (1.0, &[4], 100.0)]);
     let mut auditor = InvariantAuditor::new(&cfg);
     let policy = Box::new(GlobalScheduler::new(PlacementRule::WorstFit));
-    SimBuilder::new(&cfg)
-        .scheduler(policy)
-        .occupancy(OccupancyModel::DoubleExtension)
-        .run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+    run_seeded(&cfg, &mut feed, policy, OccupancyModel::DoubleExtension, &mut auditor, f64::NAN);
     auditor.assert_clean();
 }
 

@@ -23,16 +23,16 @@
 //!   replication boundaries, so a request can be cancelled or timed out
 //!   without losing completed work or wedging its peers.
 //!
-//! [`sweep`], [`compare`], and the saturation search are thin clients of
-//! [`sweep_on`], which wires the five layers together; `coalloc-exp
-//! serve` drives the same entry point with a long-lived pool and cache.
+//! [`sweep`] is a thin client of [`sweep_on`], which wires the five
+//! layers together; `coalloc-exp serve` drives the same entry point
+//! with a long-lived pool and cache.
 //!
 //! Replication seeds are derived via [`RngStream::substream`] from the
 //! base seed and the replication index *only*, so two sweeps with the
 //! same base seed see common random numbers at every replication across
 //! policies and utilizations — the variance-reduction discipline behind
-//! [`compare_sweeps`], and the reason overlapping grids can share cached
-//! replications.
+//! comparing policies point by point, and the reason overlapping grids
+//! can share cached replications.
 
 pub mod cache;
 pub mod cancel;
@@ -112,9 +112,9 @@ pub struct SweepStats {
 
 /// Runs an adaptive sweep on an existing [`WorkerPool`], optionally
 /// memoizing replications in a [`ScenarioCache`] and reporting each
-/// round to `on_round`. This is the full engine; [`sweep`] and
-/// [`compare`] are thin wrappers, and `coalloc-exp serve` calls it with
-/// a process-lifetime pool and cache shared across requests.
+/// round to `on_round`. This is the full engine; [`sweep`] is a thin
+/// wrapper, and `coalloc-exp serve` calls it with a process-lifetime
+/// pool and cache shared across requests.
 ///
 /// `make_cfg` builds the simulation template for a target utilization;
 /// it is called once per point, on the calling thread. The engine
@@ -237,7 +237,7 @@ where
                     }
                 }
             }
-            let results = pool.run_cancellable(miss_cfgs, sweep_cfg.audit, cancel);
+            let results = pool.run(miss_cfgs, sweep_cfg.audit, cancel);
             let mut skipped = false;
             let mut batch_executed = 0usize;
             for ((i, res), result) in miss_slots.into_iter().zip(miss_res).zip(results) {
@@ -320,80 +320,4 @@ where
 {
     let pool = WorkerPool::new(sweep_cfg.resolved_threads());
     sweep_on(&pool, None, make_cfg, sweep_cfg, |_| {}).0
-}
-
-/// The verdict of a statistical comparison at one utilization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Verdict {
-    /// A's mean response is significantly lower (95 % CIs disjoint).
-    AWins,
-    /// B's mean response is significantly lower.
-    BWins,
-    /// The confidence intervals overlap — no significant difference.
-    Tie,
-}
-
-/// Compares two sweeps point by point using the replication confidence
-/// intervals: a side "wins" at a utilization when its CI lies entirely
-/// below the other's. Sweeps must use the same target-utilization grid.
-///
-/// # Panics
-/// Panics if the grids differ.
-pub fn compare_sweeps(a: &[SweepPoint], b: &[SweepPoint]) -> Vec<(f64, Verdict)> {
-    assert_eq!(a.len(), b.len(), "sweeps must share the utilization grid");
-    a.iter()
-        .zip(b)
-        .map(|(pa, pb)| {
-            assert!(
-                (pa.target_utilization - pb.target_utilization).abs() < 1e-9,
-                "sweeps must share the utilization grid"
-            );
-            let (ra, rb) = (&pa.outcome.response, &pb.outcome.response);
-            let a_sat = pa.outcome.saturated;
-            let b_sat = pb.outcome.saturated;
-            let verdict = if a_sat != b_sat {
-                // Only one side is unstable: the stable side wins.
-                if a_sat {
-                    Verdict::BWins
-                } else {
-                    Verdict::AWins
-                }
-            } else if ra.mean + ra.half_width < rb.mean - rb.half_width {
-                Verdict::AWins
-            } else if rb.mean + rb.half_width < ra.mean - ra.half_width {
-                Verdict::BWins
-            } else {
-                Verdict::Tie
-            };
-            (pa.target_utilization, verdict)
-        })
-        .collect()
-}
-
-/// Runs two adaptive sweeps on the *same* base seed (common random
-/// numbers: replication `r` of either side sees identical arrivals and
-/// service draws) and the *same* worker pool, and compares them point by
-/// point.
-///
-/// # Panics
-/// Panics if `sweep_cfg.checkpoint` is set — the two sweeps would
-/// clobber one file; checkpoint each side separately via [`sweep`].
-pub fn compare<FA, FB>(
-    make_a: FA,
-    make_b: FB,
-    sweep_cfg: &SweepConfig,
-) -> (Vec<SweepPoint>, Vec<SweepPoint>, Vec<(f64, Verdict)>)
-where
-    FA: Fn(f64) -> SimConfig,
-    FB: Fn(f64) -> SimConfig,
-{
-    assert!(
-        sweep_cfg.checkpoint.is_none(),
-        "compare runs two sweeps; checkpoint each separately via sweep()"
-    );
-    let pool = WorkerPool::new(sweep_cfg.resolved_threads());
-    let (a, _) = sweep_on(&pool, None, make_a, sweep_cfg, |_| {});
-    let (b, _) = sweep_on(&pool, None, make_b, sweep_cfg, |_| {});
-    let verdicts = compare_sweeps(&a, &b);
-    (a, b, verdicts)
 }

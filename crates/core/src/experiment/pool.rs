@@ -140,19 +140,13 @@ impl WorkerPool {
     /// Runs a batch of replications and returns results in task order.
     /// Blocks until the batch completes; concurrent callers share the
     /// same workers, their batches interleaving at task granularity.
-    pub fn run(&self, cfgs: Vec<SimConfig>, audit: bool) -> Vec<Result<SimOutcome, String>> {
-        self.run_cancellable(cfgs, audit, None)
-            .into_iter()
-            .map(|slot| slot.expect("uncancellable batches fill every slot"))
-            .collect()
-    }
-
-    /// [`run`](Self::run) under a cooperative [`CancelToken`]: workers
-    /// check the token before starting each task, so once it fires the
-    /// remaining tasks are *skipped* and come back `None` (tasks already
-    /// executing finish — cancellation lands at replication
-    /// boundaries). Without a token every slot is `Some`.
-    pub fn run_cancellable(
+    ///
+    /// Under a cooperative [`CancelToken`] workers check the token
+    /// before starting each task, so once it fires the remaining tasks
+    /// are *skipped* and come back `None` (tasks already executing
+    /// finish — cancellation lands at replication boundaries). Without
+    /// a token every slot is `Some`.
+    pub fn run(
         &self,
         cfgs: Vec<SimConfig>,
         audit: bool,
@@ -236,6 +230,11 @@ mod tests {
     use super::*;
     use crate::policy::PolicyKind;
 
+    /// The outcome of a task that ran and succeeded.
+    fn ok(slot: &Option<Result<SimOutcome, String>>) -> &SimOutcome {
+        slot.as_ref().expect("task ran").as_ref().expect("task succeeded")
+    }
+
     fn tiny(util: f64, seed: u64) -> SimConfig {
         let mut cfg = SimConfig::das(PolicyKind::Gs, 16, util);
         cfg.total_jobs = 800;
@@ -247,11 +246,11 @@ mod tests {
     #[test]
     fn results_come_back_in_task_order_at_any_width() {
         let cfgs: Vec<SimConfig> = (0..6).map(|i| tiny(0.3, 2003 + i)).collect();
-        let serial = WorkerPool::new(1).run(cfgs.clone(), false);
-        let wide = WorkerPool::new(4).run(cfgs, false);
+        let serial = WorkerPool::new(1).run(cfgs.clone(), false, None);
+        let wide = WorkerPool::new(4).run(cfgs, false, None);
         assert_eq!(serial.len(), 6);
         for (a, b) in serial.iter().zip(&wide) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            let (a, b) = (ok(a), ok(b));
             assert_eq!(a.metrics.mean_response, b.metrics.mean_response);
         }
     }
@@ -259,21 +258,20 @@ mod tests {
     #[test]
     fn a_pool_outlives_many_batches_and_concurrent_submitters() {
         let pool = Arc::new(WorkerPool::new(2));
-        let solo = pool.run(vec![tiny(0.3, 7)], false);
+        let solo = pool.run(vec![tiny(0.3, 7)], false, None);
         let handles: Vec<_> = (0..3)
             .map(|k| {
                 let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.run(vec![tiny(0.3, 7), tiny(0.4, 7 + k)], false))
+                std::thread::spawn(move || {
+                    pool.run(vec![tiny(0.3, 7), tiny(0.4, 7 + k)], false, None)
+                })
             })
             .collect();
         for h in handles {
             let rs = h.join().expect("submitter");
             // Task 0 is the same config everywhere: results must agree
             // with the solo batch bit for bit.
-            assert_eq!(
-                rs[0].as_ref().unwrap().metrics.mean_response,
-                solo[0].as_ref().unwrap().metrics.mean_response
-            );
+            assert_eq!(ok(&rs[0]).metrics.mean_response, ok(&solo[0]).metrics.mean_response);
         }
     }
 
@@ -282,12 +280,12 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mut poisoned = tiny(0.3, 7);
         poisoned.warmup_jobs = poisoned.total_jobs; // fails validation inside the run
-        let results = pool.run(vec![tiny(0.3, 7), poisoned, tiny(0.4, 7)], false);
-        assert!(results[0].is_ok());
-        assert!(results[1].as_ref().is_err_and(|e| e.contains("warm-up")));
-        assert!(results[2].is_ok());
+        let results = pool.run(vec![tiny(0.3, 7), poisoned, tiny(0.4, 7)], false, None);
+        ok(&results[0]);
+        assert!(results[1].as_ref().expect("ran").as_ref().is_err_and(|e| e.contains("warm-up")));
+        ok(&results[2]);
         // The pool is still alive and serves the next batch.
-        assert!(pool.run(vec![tiny(0.3, 7)], false)[0].is_ok());
+        ok(&pool.run(vec![tiny(0.3, 7)], false, None)[0]);
     }
 
     #[test]
@@ -303,7 +301,7 @@ mod tests {
         // this panicked on `.expect("pool lock")` — one crashed thread
         // wedged every later submitter — whereas a long-lived daemon
         // must keep serving.
-        assert!(pool.run(vec![tiny(0.3, 7)], false)[0].is_ok());
+        ok(&pool.run(vec![tiny(0.3, 7)], false, None)[0]);
     }
 
     #[test]
@@ -311,13 +309,13 @@ mod tests {
         let pool = WorkerPool::new(2);
         let token = CancelToken::new();
         token.cancel();
-        let skipped = pool.run_cancellable(vec![tiny(0.3, 7), tiny(0.4, 8)], false, Some(&token));
+        let skipped = pool.run(vec![tiny(0.3, 7), tiny(0.4, 8)], false, Some(&token));
         assert_eq!(skipped.len(), 2);
         assert!(skipped.iter().all(Option::is_none), "a fired token skips every task");
         // The pool is unaffected: a token-free batch runs normally, and
         // a live token leaves results intact.
+        ok(&pool.run(vec![tiny(0.3, 7)], false, None)[0]);
         let live = CancelToken::new();
-        let results = pool.run_cancellable(vec![tiny(0.3, 7)], false, Some(&live));
-        assert!(results[0].as_ref().expect("not skipped").is_ok());
+        ok(&pool.run(vec![tiny(0.3, 7)], false, Some(&live))[0]);
     }
 }

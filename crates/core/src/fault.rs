@@ -2,8 +2,8 @@
 //!
 //! The paper's multicluster motivation — wide-area systems whose
 //! clusters come and go — is modelled by a per-run fault process that
-//! injects `ClusterDown(k)` / `ClusterUp(k)` events into the
-//! [`crate::Session`] event calendar. A down cluster's capacity drops
+//! injects `ClusterDown(k)` / `ClusterUp(k)` events into the event
+//! calendar of every run ([`crate::SimBuilder`]). A down cluster's capacity drops
 //! to a configured *remaining* processor count (0 for a full outage),
 //! every running component on it is killed, and an [`InterruptPolicy`]
 //! decides the victim job's fate.

@@ -20,8 +20,8 @@ pub trait JobFeed {
     fn next_job(&mut self) -> Option<(SimTime, JobSpec)>;
 
     /// The constant-backlog floor this feed holds, or 0 (the default)
-    /// for a feed of timed arrivals. A [`crate::Session`] reads it once
-    /// per run; for a floor above 0 it schedules no arrival events,
+    /// for a feed of timed arrivals. A run ([`crate::SimBuilder`]) reads
+    /// it once; for a floor above 0 it schedules no arrival events,
     /// tops the queues up to the floor at the start of every scheduling
     /// pass (the first at t = 0) with jobs from [`JobFeed::next_job`]
     /// stamped with the pass's time, and stops after the pass that

@@ -46,10 +46,10 @@ pub use audit::{
 pub use cluster::Cluster;
 pub use error::{CoallocError, ConfigError};
 pub use experiment::{
-    compare, compare_sweeps, point_digest, replication_seed, sweep, sweep_digest, sweep_on,
-    sweep_on_cancellable, CancelReason, CancelToken, FailedReplication, RecoveryReport,
-    ReplicatedOutcome, ResultStore, RoundReport, ScenarioCache, SweepCheckpoint, SweepConfig,
-    SweepPoint, SweepStats, Verdict, WorkerPool, CHECKPOINT_VERSION,
+    point_digest, replication_seed, sweep, sweep_digest, sweep_on, sweep_on_cancellable,
+    CancelReason, CancelToken, FailedReplication, RecoveryReport, ReplicatedOutcome, ResultStore,
+    RoundReport, ScenarioCache, SweepCheckpoint, SweepConfig, SweepPoint, SweepStats, WorkerPool,
+    CHECKPOINT_VERSION,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, FaultTrace, InterruptPolicy, ResizePolicy};
 pub use feed::{BacklogFeed, JobFeed, StochasticFeed, TraceFeed};
@@ -65,12 +65,8 @@ pub use policy::{
 };
 pub use queue::QueueDiscipline;
 pub use saturation::{
-    bisect_max_utilization, bisect_max_utilization_cancellable_on, bisect_max_utilization_on,
-    bisect_max_utilization_replicated, maximal_utilization, validate_bisection, BisectionError,
-    ProbePlan, SaturationConfig, SaturationResult,
+    bisect_max_utilization, maximal_utilization, BisectionError, ProbePlan, SaturationConfig,
+    SaturationResult,
 };
-pub use sim::{
-    mean_response, NetworkSpec, NetworkTopology, OccupancyModel, Session, SimBuilder, SimConfig,
-    SimOutcome, Warmup,
-};
+pub use sim::{NetworkSpec, NetworkTopology, SimBuilder, SimConfig, SimOutcome, Warmup};
 pub use system::{MultiCluster, SystemSpec, SystemSpecError};

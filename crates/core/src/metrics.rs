@@ -294,11 +294,6 @@ impl Metrics {
         }
     }
 
-    /// Current number of busy processors (for invariant checks).
-    pub fn busy_now(&self) -> f64 {
-        self.busy.value()
-    }
-
     /// The recorded raw response series (empty unless
     /// [`Metrics::record_series`] was called).
     pub fn take_series(&mut self) -> Vec<f64> {
@@ -362,7 +357,7 @@ pub struct MetricsReport {
     /// Work-weighted mean of (held time / base service) over measured
     /// multi-cluster departures — the extension the run *achieved*.
     /// Exactly the nominal factor under the faithful model; rises with
-    /// load under [`crate::sim::OccupancyModel::Network`]; 0.0 when no
+    /// load under the network model ([`crate::sim::NetworkSpec`]); 0.0 when no
     /// multi-cluster job was measured (e.g. SC).
     pub achieved_extension: f64,
     /// Time-average number of concurrent wide-area flows (running
@@ -496,6 +491,6 @@ mod tests {
         let mut m = Metrics::new(10, 1, 5);
         m.record_allocate(SimTime::ZERO, 4);
         m.record_release(SimTime::new(1.0), 4);
-        assert_eq!(m.busy_now(), 0.0);
+        assert_eq!(m.busy.value(), 0.0);
     }
 }

@@ -239,12 +239,6 @@ impl QueueSet {
         self.disabled_order.clear();
     }
 
-    /// Indices of currently enabled queues, ascending (diagnostics; not
-    /// on the hot path).
-    pub fn enabled_indices(&self) -> Vec<usize> {
-        (0..self.queues.len()).filter(|&i| self.queues[i].is_enabled()).collect()
-    }
-
     /// Every queue's length, in queue order.
     pub fn lengths(&self) -> impl Iterator<Item = usize> + '_ {
         self.queues.iter().map(JobQueue::len)
@@ -265,6 +259,11 @@ impl QueueSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Indices of the set's enabled queues, ascending.
+    fn enabled(s: &QueueSet) -> Vec<usize> {
+        (0..s.queues.len()).filter(|&i| s.queues[i].is_enabled()).collect()
+    }
 
     #[test]
     fn fifo_order() {
@@ -294,11 +293,11 @@ mod tests {
         s.disable(2);
         s.disable(0);
         s.disable(3);
-        assert_eq!(s.enabled_indices(), vec![1]);
+        assert_eq!(enabled(&s), vec![1]);
         let mut order = Vec::new();
         s.enable_all_into(&mut order);
         assert_eq!(order, vec![2, 0, 3], "re-enabled in disable order");
-        assert_eq!(s.enabled_indices(), vec![0, 1, 2, 3]);
+        assert_eq!(enabled(&s), vec![0, 1, 2, 3]);
         order.clear();
         s.enable_all_into(&mut order);
         assert!(order.is_empty(), "nothing left disabled");
@@ -320,7 +319,7 @@ mod tests {
         s.disable(2);
         s.disable(0);
         s.enable_all();
-        assert_eq!(s.enabled_indices(), vec![0, 1, 2]);
+        assert_eq!(enabled(&s), vec![0, 1, 2]);
         let mut order = Vec::new();
         s.enable_all_into(&mut order);
         assert!(order.is_empty(), "enable_all drained the disable order");

@@ -18,7 +18,7 @@ use coalloc_workload::{QueueRouting, Workload};
 use desim::RngStream;
 
 use crate::error::{ensure, ConfigError};
-use crate::experiment::CancelReason;
+use crate::experiment::{CancelReason, CancelToken, WorkerPool};
 use crate::feed::BacklogFeed;
 use crate::placement::PlacementRule;
 use crate::policy::PolicyKind;
@@ -116,7 +116,7 @@ pub struct SaturationResult {
 pub fn maximal_utilization(cfg: &SaturationConfig) -> SaturationResult {
     let mut feed = BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
     // A backlog has no offered load: the queues never drain.
-    let out = SimBuilder::new(&cfg.sim_config()).run_feed(&mut feed, f64::NAN);
+    let out = SimBuilder::new(&cfg.sim_config()).feed(&mut feed, f64::NAN).run();
     let m = &out.metrics;
     assert_eq!(
         m.departures, cfg.measured_departures,
@@ -130,48 +130,46 @@ pub fn maximal_utilization(cfg: &SaturationConfig) -> SaturationResult {
     }
 }
 
-/// Replication plan for the open-system probes of
-/// [`bisect_max_utilization_replicated`]: each probe utilization is
-/// classified by a majority vote over `replications` independent runs,
-/// executed on the sweep engine's worker pool. Replication seeds are
-/// derived from each probe config's own seed via
+/// Replication plan for [`bisect_max_utilization`]'s open-system
+/// probes: each probe utilization is classified by a majority vote over
+/// `replications` independent runs on the search's worker pool.
+/// Replication seeds are derived from each probe config's own seed via
 /// [`crate::experiment::replication_seed`], so every probe utilization
 /// sees common random numbers.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbePlan {
     /// Independent runs per probe (majority vote decides saturation).
     pub replications: u64,
-    /// Worker threads for the probe batch; 0 = one per core.
-    pub threads: usize,
 }
 
 impl Default for ProbePlan {
     fn default() -> Self {
-        ProbePlan { replications: 3, threads: 0 }
+        ProbePlan { replications: 3 }
     }
 }
 
 impl ProbePlan {
-    /// One probe under a cooperative token: `Err` as soon as the token
-    /// fires (tasks already running finish; the vote is abandoned).
-    fn saturated_cancellable<F>(
+    /// One probe: whether most replications at `util` saturate, or
+    /// `Err` as soon as the token fires (tasks already running finish;
+    /// the vote is abandoned).
+    fn saturated<F>(
         &self,
-        pool: &crate::experiment::WorkerPool,
+        pool: &WorkerPool,
         make_cfg: &F,
         util: f64,
-        cancel: Option<&crate::experiment::CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<bool, CancelReason>
     where
-        F: Fn(f64) -> crate::sim::SimConfig,
+        F: Fn(f64) -> SimConfig,
     {
-        let cfgs: Vec<crate::sim::SimConfig> = (0..self.replications)
+        let cfgs: Vec<SimConfig> = (0..self.replications)
             .map(|rep| {
                 let cfg = make_cfg(util);
                 let seed = crate::experiment::replication_seed(cfg.seed, rep);
                 cfg.with_seed(seed)
             })
             .collect();
-        let results = pool.run_cancellable(cfgs, false, cancel);
+        let results = pool.run(cfgs, false, cancel);
         let mut outcomes = Vec::with_capacity(results.len());
         for slot in results {
             match slot {
@@ -179,7 +177,7 @@ impl ProbePlan {
                     .push(result.unwrap_or_else(|cause| panic!("replication panicked: {cause}"))),
                 None => {
                     return Err(cancel
-                        .and_then(crate::experiment::CancelToken::state)
+                        .and_then(CancelToken::state)
                         .unwrap_or(CancelReason::Cancelled))
                 }
             }
@@ -189,12 +187,12 @@ impl ProbePlan {
     }
 }
 
-/// Why [`bisect_max_utilization_cancellable_on`] returned no boundary.
+/// Why [`bisect_max_utilization`] returned no boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BisectionError {
-    /// The search cannot run: an input [`validate_bisection`] rejects,
-    /// or bounds that do not bracket the saturation threshold (the error
-    /// names `lo` or `hi`).
+    /// The search cannot run: invalid search inputs, or bounds that do
+    /// not bracket the saturation threshold (the error names `lo` or
+    /// `hi`).
     Config(ConfigError),
     /// The token fired before the search finished.
     Cancelled(CancelReason),
@@ -214,8 +212,7 @@ impl From<CancelReason> for BisectionError {
 
 /// Checks a bisection's search inputs: bounds with `0 < lo < hi <= 2`,
 /// a positive, finite tolerance, and at least one probe replication.
-/// The bisection runs this check before its first probe.
-pub fn validate_bisection(
+fn validate_bisection(
     lo: f64,
     hi: f64,
     tolerance: f64,
@@ -243,110 +240,54 @@ pub fn validate_bisection(
 /// open-system runs: the paper's constant-backlog method is only valid
 /// for single-global-queue policies (GS, SC), while this search works
 /// for LS and LP too — the backlog at the end of the arrival process
-/// tells stable from unstable. Single-replication probes on each probe
-/// config's own seed; see [`bisect_max_utilization_replicated`] for the
-/// majority-vote variant.
-pub fn bisect_max_utilization<F>(make_cfg: F, lo: f64, hi: f64, tolerance: f64) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    bisect_max_utilization_replicated(
-        make_cfg,
-        lo,
-        hi,
-        tolerance,
-        &ProbePlan { replications: 1, threads: 0 },
-    )
-}
-
-/// [`bisect_max_utilization`] with replicated probes: each utilization
-/// is classified by a majority vote over `plan.replications` runs on
-/// substream-derived seeds, so one unlucky seed near the threshold
-/// cannot flip a bracket. The search narrows `[lo, hi]` until
-/// `hi - lo <= tolerance` and returns the last stable utilization found.
+/// tells stable from unstable.
 ///
-/// # Panics
-/// Panics with [`validate_bisection`]'s message on invalid search
-/// inputs, and when `[lo, hi]` does not bracket the saturation
-/// threshold: `lo` must be stable and `hi` saturated. Both ends are checked
-/// unconditionally (also in release builds) — an unchecked bracket
-/// silently converges to the nearest bound and reports it as the
-/// saturation point, which is a wrong *number*, not a crash.
-pub fn bisect_max_utilization_replicated<F>(
-    make_cfg: F,
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    plan: &ProbePlan,
-) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    // One pool serves every probe of the whole search.
-    let pool = crate::experiment::WorkerPool::new(plan.threads);
-    bisect_max_utilization_on(&pool, make_cfg, lo, hi, tolerance, plan)
-}
-
-/// [`bisect_max_utilization_replicated`] on an existing
-/// [`crate::experiment::WorkerPool`]
-/// — the entry point `coalloc-exp serve` uses so concurrent saturation
-/// searches and sweeps share one set of workers.
+/// Each probe utilization is classified by a majority vote over
+/// `plan.replications` runs on substream-derived seeds, executed on
+/// `pool` (`coalloc-exp serve` passes its process-lifetime pool, so
+/// concurrent searches and sweeps share one set of workers). One
+/// unlucky seed near the threshold therefore cannot flip a bracket. The
+/// search narrows `[lo, hi]` until `hi - lo <= tolerance` and returns
+/// the last stable utilization found.
 ///
-/// # Panics
-/// Same bracket requirements as [`bisect_max_utilization_replicated`].
-pub fn bisect_max_utilization_on<F>(
-    pool: &crate::experiment::WorkerPool,
-    make_cfg: F,
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    plan: &ProbePlan,
-) -> f64
-where
-    F: Fn(f64) -> crate::sim::SimConfig,
-{
-    match bisect_max_utilization_cancellable_on(pool, make_cfg, lo, hi, tolerance, plan, None) {
-        Ok(max) => max,
-        Err(BisectionError::Config(e)) => panic!("{e}"),
-        Err(BisectionError::Cancelled(_)) => unreachable!("searches without a token never cancel"),
-    }
-}
-
-/// [`bisect_max_utilization_on`] under a cooperative
-/// [`crate::experiment::CancelToken`], checked between probes (and
-/// between a probe's replications, inside the pool): once the token
-/// fires the search returns [`BisectionError::Cancelled`] instead of a
-/// boundary. A later uncancelled search re-probes from scratch and lands
-/// on the same deterministic answer.
+/// An optional cooperative [`CancelToken`] is checked between a probe's
+/// replications, inside the pool: once it fires the search returns
+/// [`BisectionError::Cancelled`] instead of a boundary. A later
+/// uncancelled search re-probes from scratch and lands on the same
+/// deterministic answer.
 ///
 /// # Errors
-/// [`BisectionError::Config`] for inputs [`validate_bisection`] rejects
-/// (before any probe) and for bounds that do not bracket the threshold:
-/// a saturated `lo` or a stable `hi`, the error naming that bound. The
-/// other `bisect_*` entry points panic with the error's message.
-pub fn bisect_max_utilization_cancellable_on<F>(
-    pool: &crate::experiment::WorkerPool,
+/// [`BisectionError::Config`] for invalid inputs — bounds outside
+/// `0 < lo < hi <= 2`, a tolerance that is not positive and finite, or
+/// no probe replication — before any probe, and for bounds that do not
+/// bracket the threshold: a saturated `lo` or a stable `hi`, the error
+/// naming that bound. Both ends are probed unconditionally: an
+/// unchecked bracket silently converges to the nearest bound and
+/// reports it as the saturation point, which is a wrong *number*, not
+/// a crash.
+///
+/// # Panics
+/// Re-raises the cause of a probe replication that panicked.
+pub fn bisect_max_utilization<F>(
+    pool: &WorkerPool,
     make_cfg: F,
     mut lo: f64,
     mut hi: f64,
     tolerance: f64,
     plan: &ProbePlan,
-    cancel: Option<&crate::experiment::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Result<f64, BisectionError>
 where
-    F: Fn(f64) -> crate::sim::SimConfig,
+    F: Fn(f64) -> SimConfig,
 {
     validate_bisection(lo, hi, tolerance, plan)?;
-    // The bounds must bracket the threshold. These probes are the
-    // price of a trustworthy answer, checked in release builds too,
-    // where all real searches run.
     ensure(
-        !plan.saturated_cancellable(pool, &make_cfg, lo, cancel)?,
+        !plan.saturated(pool, &make_cfg, lo, cancel)?,
         "lo",
         format_args!("bisection bracket invalid: lo = {lo} is already saturated; lower lo"),
     )?;
     ensure(
-        plan.saturated_cancellable(pool, &make_cfg, hi, cancel)?,
+        plan.saturated(pool, &make_cfg, hi, cancel)?,
         "hi",
         format_args!(
             "bisection bracket invalid: hi = {hi} is still stable; the saturation point lies \
@@ -355,7 +296,7 @@ where
     )?;
     while hi - lo > tolerance {
         let mid = 0.5 * (lo + hi);
-        if plan.saturated_cancellable(pool, &make_cfg, mid, cancel)? {
+        if plan.saturated(pool, &make_cfg, mid, cancel)? {
             hi = mid;
         } else {
             lo = mid;
@@ -407,6 +348,23 @@ mod tests {
         assert!((r.max_net_utilization - r.max_gross_utilization).abs() < 1e-9);
     }
 
+    /// A single-replication search on a one-worker pool.
+    fn search<F>(make_cfg: F, lo: f64, hi: f64, tolerance: f64) -> Result<f64, BisectionError>
+    where
+        F: Fn(f64) -> SimConfig,
+    {
+        let plan = ProbePlan { replications: 1 };
+        bisect_max_utilization(&WorkerPool::new(1), make_cfg, lo, hi, tolerance, &plan, None)
+    }
+
+    /// The [`ConfigError`] a search stopped with.
+    fn config_error(result: Result<f64, BisectionError>) -> ConfigError {
+        match result {
+            Err(BisectionError::Config(e)) => e,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn bisection_matches_constant_backlog_for_gs() {
         // The two methods estimate the same quantity for GS.
@@ -415,9 +373,9 @@ mod tests {
             cfg.measured_departures = 10_000;
             maximal_utilization(&cfg).max_gross_utilization
         };
-        let bisect = bisect_max_utilization(
+        let bisect = search(
             |util| {
-                let mut cfg = crate::sim::SimConfig::das(PolicyKind::Gs, 16, util);
+                let mut cfg = SimConfig::das(PolicyKind::Gs, 16, util);
                 cfg.total_jobs = 12_000;
                 cfg.warmup_jobs = 1_200;
                 cfg
@@ -425,7 +383,8 @@ mod tests {
             0.3,
             1.0,
             0.02,
-        );
+        )
+        .expect("0.3..1.0 brackets GS's threshold");
         assert!(
             (bisect - backlog).abs() < 0.06,
             "bisection {bisect:.3} vs constant-backlog {backlog:.3}"
@@ -433,33 +392,35 @@ mod tests {
     }
 
     /// A tiny open-system config for the bracket-validation tests.
-    fn tiny_cfg(util: f64) -> crate::sim::SimConfig {
-        let mut cfg = crate::sim::SimConfig::das(PolicyKind::Gs, 16, util);
+    fn tiny_cfg(util: f64) -> SimConfig {
+        let mut cfg = SimConfig::das(PolicyKind::Gs, 16, util);
         cfg.total_jobs = 400;
         cfg.warmup_jobs = 50;
         cfg
     }
 
     #[test]
-    #[should_panic(expected = "still stable")]
     fn bisection_rejects_a_stable_hi() {
         // Both ends stable: the old code silently converged to ~hi and
-        // reported a bound, not a measurement. Now it panics.
-        bisect_max_utilization(tiny_cfg, 0.05, 0.2, 0.05);
+        // reported a bound, not a measurement. Now it names `hi`.
+        let e = config_error(search(tiny_cfg, 0.05, 0.2, 0.05));
+        assert_eq!(e.field, "hi");
+        assert!(e.message.contains("still stable"), "{e}");
     }
 
     #[test]
-    #[should_panic(expected = "already saturated")]
     fn bisection_rejects_a_saturated_lo() {
         // Checked unconditionally — the old debug_assert! (with a
         // different message) vanished entirely in release builds.
-        bisect_max_utilization(tiny_cfg, 1.5, 1.8, 0.05);
+        let e = config_error(search(tiny_cfg, 1.5, 1.8, 0.05));
+        assert_eq!(e.field, "lo");
+        assert!(e.message.contains("already saturated"), "{e}");
     }
 
     #[test]
     fn invalid_search_inputs_name_their_field() {
         let field = |lo: f64, hi: f64, tolerance: f64, replications: u64| {
-            let plan = ProbePlan { replications, threads: 1 };
+            let plan = ProbePlan { replications };
             validate_bisection(lo, hi, tolerance, &plan).err().map(|e| e.field)
         };
         assert_eq!(field(0.3, 1.2, 0.05, 3), None);
@@ -473,25 +434,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "search bounds must satisfy 0 < lo < hi <= 2, got lo = -1")]
-    fn bisection_panics_with_the_checks_message() {
-        bisect_max_utilization(tiny_cfg, -1.0, 1.2, 0.05);
+    fn bisection_reports_the_checks_message() {
+        let e = config_error(search(tiny_cfg, -1.0, 1.2, 0.05));
+        assert_eq!(e.field, "lo");
+        assert!(
+            e.message.starts_with("search bounds must satisfy 0 < lo < hi <= 2, got lo = -1"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn a_fired_token_cancels_the_search_before_any_replication_runs() {
+        let token = CancelToken::new();
+        token.cancel();
+        // A replication of this config would fail validation, and the
+        // probe would re-raise its panic.
+        let never_runs = |util: f64| SimConfig { warmup_jobs: 400, ..tiny_cfg(util) };
+        let plan = ProbePlan::default();
+        let pool = WorkerPool::new(1);
+        let result = bisect_max_utilization(&pool, never_runs, 0.3, 1.2, 0.05, &plan, Some(&token));
+        assert_eq!(result, Err(BisectionError::Cancelled(CancelReason::Cancelled)));
     }
 
     #[test]
     fn replicated_bisection_brackets_the_threshold() {
         let make = |util: f64| {
-            let mut cfg = crate::sim::SimConfig::das(PolicyKind::Gs, 16, util);
+            let mut cfg = SimConfig::das(PolicyKind::Gs, 16, util);
             cfg.total_jobs = 3_000;
             cfg.warmup_jobs = 300;
             cfg
         };
-        let plan = ProbePlan { replications: 3, threads: 0 };
-        let r = bisect_max_utilization_replicated(make, 0.3, 1.2, 0.1, &plan);
+        let plan = ProbePlan { replications: 3 };
+        let pool = WorkerPool::new(2);
+        let r = bisect_max_utilization(&pool, make, 0.3, 1.2, 0.1, &plan, None);
+        let r = r.expect("0.3..1.2 brackets GS's threshold");
         assert!((0.4..1.0).contains(&r), "threshold estimate {r}");
         // Deterministic: the vote and bisection depend only on seeds.
-        let again = bisect_max_utilization_replicated(make, 0.3, 1.2, 0.1, &plan);
-        assert_eq!(r, again);
+        let again = bisect_max_utilization(&pool, make, 0.3, 1.2, 0.1, &plan, None);
+        assert_eq!(Ok(r), again);
     }
 
     #[test]
@@ -513,7 +493,7 @@ mod tests {
             let mut feed =
                 BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
             let mut auditor = crate::audit::InvariantAuditor::new(&sim);
-            let out = SimBuilder::new(&sim).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+            let out = SimBuilder::new(&sim).feed(&mut feed, f64::NAN).run_observed(&mut auditor);
             assert!(auditor.is_clean(), "{}: {}", cfg.policy, auditor.report());
             assert_eq!(out.metrics.departures, cfg.measured_departures, "{}", cfg.policy);
             // The observed run is the unobserved one, bit for bit.
@@ -537,7 +517,7 @@ mod tests {
         let mut feed =
             BacklogFeed::new(cfg.workload.clone(), cfg.backlog, &RngStream::new(cfg.seed));
         let mut auditor = crate::audit::InvariantAuditor::new(&sim);
-        let out = SimBuilder::new(&sim).run_feed_observed(&mut feed, f64::NAN, &mut auditor);
+        let out = SimBuilder::new(&sim).feed(&mut feed, f64::NAN).run_observed(&mut auditor);
         assert!(auditor.is_clean(), "{}", auditor.report());
         assert!(out.metrics.interruptions > 0, "no failure fired");
         assert!(out.metrics.availability < 1.0);

@@ -90,11 +90,10 @@ pub struct SimConfig {
     /// rigid and moldable dispositions).
     pub resize: ResizePolicy,
     /// Finite inter-cluster bandwidth, if any. `None` (the default)
-    /// keeps the paper's constant extension
-    /// ([`crate::sim::OccupancyModel::Faithful`]) and reproduces
-    /// historical runs byte for byte; `Some` selects
-    /// [`crate::sim::OccupancyModel::Network`], under which the
-    /// effective extension of co-allocated jobs grows with load.
+    /// keeps the paper's constant extension and reproduces historical
+    /// runs byte for byte; `Some` selects the network model
+    /// ([`crate::sim::NetworkSpec`]), under which the effective
+    /// extension of co-allocated jobs grows with load.
     pub network: Option<NetworkSpec>,
 }
 

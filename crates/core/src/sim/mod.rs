@@ -1,7 +1,8 @@
 //! The simulation layer: configuration, warm-up lifecycle, the Session
 //! engine and what a run reports.
 //!
-//! Runs are built with [`SimBuilder`] and executed by a [`Session`]:
+//! Every run goes through [`SimBuilder`], which sets the job source
+//! and hands the event loop to the crate-private `Session`:
 //!
 //! ```
 //! use coalloc_core::{PolicyKind, SimBuilder, SimConfig};
@@ -11,11 +12,6 @@
 //! let outcome = SimBuilder::new(&cfg).run();
 //! assert_eq!(outcome.completed, 2_000);
 //! ```
-//!
-//! The historical free-function entry points (`run`, `run_observed`,
-//! `run_trace`, `run_with_feed`, `run_with_feed_observed`,
-//! `run_with_scheduler`) went through a deprecation cycle and are gone;
-//! every entry point is a [`SimBuilder`] method now.
 
 mod arena;
 mod config;
@@ -27,10 +23,7 @@ mod warmup;
 pub use arena::{cluster_mask, RunArena, RunRow, SlotId};
 pub use config::{SimConfig, Warmup};
 pub use network::{NetworkSpec, NetworkTopology};
-pub use outcome::{OccupancyModel, SimOutcome};
-pub use session::{Session, SimBuilder};
-
-/// Convenience: the observation-window mean response time of a run.
-pub fn mean_response(cfg: &SimConfig) -> f64 {
-    SimBuilder::new(cfg).run().metrics.mean_response
-}
+pub use outcome::SimOutcome;
+pub use session::SimBuilder;
+#[cfg(test)]
+pub(crate) use {outcome::OccupancyModel, session::Session};

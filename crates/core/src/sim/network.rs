@@ -1,10 +1,9 @@
-//! The wide-area network model behind [`OccupancyModel::Network`]: a
+//! The wide-area network model a [`SimConfig::network`] selects: a
 //! finite-bandwidth fabric whose max-min fair shares make the effective
 //! extension of co-allocated jobs load-dependent.
 //!
 //! The paper charges every multi-component job a *constant* wide-area
-//! extension (base service × 1.25, §2.4). Under
-//! [`OccupancyModel::Network`](crate::sim::OccupancyModel::Network) the
+//! extension (base service × 1.25, §2.4). Under the network model the
 //! extension becomes emergent instead: every running multi-cluster job
 //! holds one *flow* through the fabric, flows get max-min fair bandwidth
 //! shares, and a flow at share `s ∈ (0, 1]` runs with stretch
@@ -15,7 +14,7 @@
 //! extension dilates — computation is local and unaffected, which is
 //! why the stretch is `1 + (f − 1)/s` and not `f/s`.
 //!
-//! [`OccupancyModel`]: crate::sim::OccupancyModel
+//! [`SimConfig::network`]: crate::sim::SimConfig::network
 
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -43,7 +42,7 @@ pub enum NetworkTopology {
 /// capacity `c` sustains `c` flows at full share before contention
 /// begins (capacity 1 means the second concurrent flow already halves
 /// both shares). `f64::INFINITY` is legal and collapses the model onto
-/// [`Faithful`](crate::sim::OccupancyModel::Faithful) bit for bit.
+/// the paper's constant extension bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkSpec {
     /// Link capacity in concurrent-flow units (must be positive; may be
@@ -236,7 +235,7 @@ struct MaskClass {
 /// nominal extension factor. At full share this is *exactly* the
 /// factor — not `1 + (factor − 1)`, whose float round trip could
 /// differ in the last bit — so an uncontended fabric collapses onto
-/// [`Faithful`](crate::sim::OccupancyModel::Faithful) bit for bit.
+/// the paper's constant extension bit for bit.
 pub(crate) fn stretch(factor: f64, share: f64) -> f64 {
     if share >= 1.0 {
         factor

@@ -39,21 +39,20 @@ pub struct SimOutcome {
 
 /// How the wide-area extension enters a started job's occupancy.
 ///
-/// [`OccupancyModel::Faithful`] is the paper's model and what every
-/// public entry point uses unless [`crate::sim::SimConfig::network`]
-/// selects [`OccupancyModel::Network`]. `DoubleExtension` is a seeded
-/// bug for mutation-testing the [`crate::audit::InvariantAuditor`] — it
-/// exists so the test suite can prove the auditor catches a mis-applied
-/// extension factor in the *full* simulation loop, not a synthetic
-/// event stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum OccupancyModel {
+/// `Faithful` is the paper's model and what every run uses unless
+/// [`crate::sim::SimConfig::network`] selects `Network`. Test builds add
+/// `DoubleExtension`, a seeded bug for mutation-testing the
+/// [`crate::audit::InvariantAuditor`]: it lets the test suite prove the
+/// auditor catches a mis-applied extension factor in the *full*
+/// simulation loop, not a synthetic event stream.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum OccupancyModel {
     /// Base service × extension factor for the spanned clusters,
     /// applied exactly once (§2.4).
-    #[default]
     Faithful,
     /// The extension factor applied twice to multi-cluster jobs (a
     /// seeded bug).
+    #[cfg(test)]
     DoubleExtension,
     /// Load-dependent extension: multi-cluster jobs contend for the
     /// finite inter-cluster bandwidth of a [`NetworkSpec`], so the
@@ -64,14 +63,15 @@ pub enum OccupancyModel {
 
 impl OccupancyModel {
     /// The *nominal* occupancy a started job is initially scheduled
-    /// with. [`OccupancyModel::Network`] starts every flow at full
-    /// share (stretch = the nominal factor) and only reschedules when
-    /// contention actually changes the stretch, so its nominal
-    /// occupancy is the faithful one.
+    /// with. `Network` starts every flow at full share (stretch = the
+    /// nominal factor) and only reschedules when contention actually
+    /// changes the stretch, so its nominal occupancy is the faithful
+    /// one.
     pub(crate) fn occupancy(self, job: &ActiveJob, workload: &Workload) -> Duration {
         let faithful = job.occupancy_in(workload);
         match self {
             OccupancyModel::Faithful | OccupancyModel::Network(_) => faithful,
+            #[cfg(test)]
             OccupancyModel::DoubleExtension => {
                 let span = job.placement.as_ref().map_or(1, |p| p.assignments().len());
                 faithful.scaled(workload.extension_factor(span))

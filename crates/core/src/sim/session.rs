@@ -2,10 +2,12 @@
 //!
 //! [`SimBuilder`] is the single front door: it resolves the warm-up
 //! lifecycle, builds the feed and the scheduler, and hands a fully
-//! wired [`Session`] its event loop. It is the simulator's only event
-//! loop: open runs (stochastic or trace feeds) and Table 3's
+//! wired [`Session`] its event loop. That loop is the simulator's only
+//! one: open runs (stochastic or trace feeds) and Table 3's
 //! constant-backlog runs ([`crate::feed::BacklogFeed`]) both go through
 //! it.
+
+use std::borrow::Cow;
 
 use coalloc_workload::{JobDisposition, JobRequest, JobSpec, RequestKind};
 use desim::{Duration, EventId, Exponential, RngStream, SimTime, Simulation, Variate};
@@ -105,19 +107,13 @@ struct NetState {
     scratch: ShareScratch,
 }
 
-/// Builds and runs simulation [`Session`]s from a [`SimConfig`].
+/// The one front door to a simulation run.
 ///
-/// The builder owns the run's two optional knobs — an explicitly
-/// supplied scheduler (bypassing [`crate::policy::PolicyKind::build`];
-/// the seam the mutation tests use) and a non-faithful
-/// [`OccupancyModel`] — and offers one `run*` method per feed kind:
-///
-/// * [`SimBuilder::run`] / [`SimBuilder::run_observed`] — stochastic
-///   feed sampled from the config's workload;
-/// * [`SimBuilder::run_trace`] / [`SimBuilder::run_trace_observed`] —
-///   trace replay;
-/// * [`SimBuilder::run_feed`] / [`SimBuilder::run_feed_observed`] — any
-///   caller-supplied [`JobFeed`].
+/// A run's job source is set on the builder: without a call to
+/// [`SimBuilder::feed`] or [`SimBuilder::trace`] it samples the
+/// config's stochastic workload. Either terminal method then runs it:
+/// [`SimBuilder::run`] plain, [`SimBuilder::run_observed`] with a
+/// [`SimObserver`] attached.
 ///
 /// ```
 /// use coalloc_core::{PolicyKind, SimBuilder, SimConfig};
@@ -129,170 +125,164 @@ struct NetState {
 /// ```
 pub struct SimBuilder<'a> {
     cfg: &'a SimConfig,
-    model: OccupancyModel,
-    scheduler: Option<Box<dyn Scheduler>>,
+    source: Source<'a>,
+}
+
+/// Where a run's jobs come from.
+enum Source<'a> {
+    /// Sampled from the config's workload, arrival rate and seed.
+    Stochastic,
+    /// A caller's feed and the offered gross utilization it reports.
+    Feed(&'a mut dyn JobFeed, f64),
+    /// A log replayed at a time scale.
+    Trace(&'a coalloc_trace::Trace, f64),
 }
 
 impl<'a> SimBuilder<'a> {
-    /// Starts a builder for the given configuration. A config with a
-    /// [`super::network::NetworkSpec`] selects
-    /// [`OccupancyModel::Network`]; everything else runs the paper's
-    /// [`OccupancyModel::Faithful`].
+    /// Starts a builder for the given configuration, sampling its
+    /// stochastic workload.
     pub fn new(cfg: &'a SimConfig) -> Self {
-        let model = cfg.network.map_or(OccupancyModel::Faithful, OccupancyModel::Network);
-        SimBuilder { cfg, model, scheduler: None }
+        SimBuilder { cfg, source: Source::Stochastic }
     }
 
-    /// Replaces the occupancy model (mutation testing only; the default
-    /// is the paper's [`OccupancyModel::Faithful`]).
-    pub fn occupancy(mut self, model: OccupancyModel) -> Self {
-        self.model = model;
-        self
+    /// Runs a caller's [`JobFeed`] instead; `offered` is the offered
+    /// gross utilization the outcome reports (the feed knows it, the
+    /// engine does not derive it). A feed cannot be replayed for a
+    /// pilot run, so the run measures after `warmup_jobs` as given,
+    /// also under [`Warmup::Auto`].
+    pub fn feed(self, feed: &'a mut dyn JobFeed, offered: f64) -> Self {
+        SimBuilder { source: Source::Feed(feed, offered), ..self }
     }
 
-    /// Supplies an explicit scheduler instead of building one from the
-    /// config's policy. The config's `policy` field then only labels
-    /// the outcome (and configures the auditor).
-    pub fn scheduler(mut self, policy: Box<dyn Scheduler>) -> Self {
-        self.scheduler = Some(policy);
-        self
+    /// Replays a log instead: its submit times (compressed by
+    /// `time_scale`; values < 1 raise the offered load), sizes (split
+    /// under the workload's limit) and runtimes replace the stochastic
+    /// sampling. The workload's size/service distributions are
+    /// ignored; its limit, clusters and extension model still apply.
+    /// The run is sized by [`TraceFeed::len`], its offered load comes
+    /// from the raw log, and a [`Warmup::Auto`] pilot replays the same
+    /// log.
+    pub fn trace(self, trace: &'a coalloc_trace::Trace, time_scale: f64) -> Self {
+        SimBuilder { source: Source::Trace(trace, time_scale), ..self }
     }
 
     /// Runs one simulation to completion (all arrivals generated, then
     /// the system drained of *running* jobs; waiting jobs that can never
     /// start are left queued and reported).
+    ///
+    /// # Panics
+    /// Panics with [`SimConfig::validate`]'s message on an invalid
+    /// config.
     pub fn run(self) -> SimOutcome {
         self.run_observed(&mut NullObserver)
     }
 
     /// [`SimBuilder::run`] with an observer attached (see
     /// [`crate::audit`]). Observers are passive: the outcome is
-    /// bit-identical to the unobserved run's.
+    /// bit-identical to the unobserved run's. Generic over the observer
+    /// so the [`NullObserver`] path monomorphizes to the unobserved
+    /// loop (every hook is an empty inlined default).
     pub fn run_observed<O: SimObserver>(self, obs: &mut O) -> SimOutcome {
-        self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        if self.cfg.warmup == Warmup::Auto {
-            let resolved = resolve_auto_warmup(self.cfg, |pilot| SimBuilder::new(pilot).run());
-            let rebuilt =
-                SimBuilder { cfg: &resolved, model: self.model, scheduler: self.scheduler };
-            return rebuilt.run_observed(obs);
-        }
-        let master = RngStream::new(self.cfg.seed);
-        let mut feed = StochasticFeed::new(
-            self.cfg.workload.clone(),
-            self.cfg.arrival_rate,
-            self.cfg.arrival_cv2,
-            self.cfg.total_jobs,
-            &master,
-        );
-        let offered = self.cfg.offered_gross_utilization();
-        self.run_feed_observed(&mut feed, offered, obs)
+        execute(self.cfg, self.source, obs)
     }
+}
 
-    /// Runs a *trace-driven* simulation: the log's submit times
-    /// (compressed by `time_scale`; values < 1 raise the offered load),
-    /// sizes (split under the workload's limit) and runtimes replace the
-    /// stochastic sampling. The workload's size/service distributions
-    /// are ignored; its limit, clusters and extension model still apply.
-    pub fn run_trace(self, trace: &coalloc_trace::Trace, time_scale: f64) -> SimOutcome {
-        self.run_trace_observed(trace, time_scale, &mut NullObserver)
-    }
-
-    /// [`SimBuilder::run_trace`] with an observer attached.
-    pub fn run_trace_observed<O: SimObserver>(
-        self,
-        trace: &coalloc_trace::Trace,
-        time_scale: f64,
-        obs: &mut O,
-    ) -> SimOutcome {
-        let mut cfg = self.cfg.clone();
-        let mut feed = TraceFeed::new(trace, cfg.workload.limit, cfg.workload.clusters, time_scale);
+/// The shared work of every run: size a replay by its feed, validate
+/// the config once, resolve [`Warmup::Auto`] with a pilot over the same
+/// source, then run the policy's *concrete* scheduler type through the
+/// monomorphized event loop. The scheduler hooks run after every event,
+/// so keeping them direct (inlinable) calls measurably raises events/s
+/// — see DESIGN.md and EXPERIMENTS.md (BENCH_2).
+fn execute<O: SimObserver>(cfg: &SimConfig, source: Source<'_>, obs: &mut O) -> SimOutcome {
+    let mut cfg = Cow::Borrowed(cfg);
+    let mut replay = None;
+    if let Source::Trace(trace, time_scale) = source {
+        let feed = TraceFeed::new(trace, cfg.workload.limit, cfg.workload.clusters, time_scale);
         // The feed drops zero-runtime records (cancelled jobs); the run
         // is sized by what will actually be replayed, not the raw log
         // length.
-        cfg.total_jobs = feed.len() as u64;
-        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        if cfg.warmup == Warmup::Auto {
-            // The pilot replays the same trace (replay is deterministic),
-            // so MSER judges exactly the series the measured run will
-            // produce.
-            cfg = resolve_auto_warmup(&cfg, |pilot| {
-                SimBuilder::new(pilot).run_trace(trace, time_scale)
-            });
-        }
-        // Offered gross utilization of the replay: the trace's gross
-        // work over its (scaled) span times the capacity.
-        let span = trace.jobs.last().expect("non-empty").submit * time_scale;
-        let ratio = cfg.workload.gross_net_ratio();
-        let work: f64 =
-            trace.jobs.iter().map(|j| f64::from(j.size) * j.runtime).sum::<f64>() * ratio;
-        let offered = if span > 0.0 { work / (span * f64::from(cfg.capacity())) } else { f64::NAN };
-        let rebuilt = SimBuilder { cfg: &cfg, model: self.model, scheduler: self.scheduler };
-        rebuilt.run_feed_observed(&mut feed, offered, obs)
+        cfg.to_mut().total_jobs = feed.len() as u64;
+        replay = Some(feed);
     }
-
-    /// The shared event loop, driven by any [`JobFeed`].
-    pub fn run_feed(self, feed: &mut dyn JobFeed, offered: f64) -> SimOutcome {
-        self.run_feed_observed(feed, offered, &mut NullObserver)
-    }
-
-    /// [`SimBuilder::run_feed`] with an observer attached. Generic over
-    /// the observer so the [`NullObserver`] path monomorphizes to the
-    /// unobserved loop (every hook is an empty inlined default).
-    pub fn run_feed_observed<O: SimObserver>(
-        self,
-        feed: &mut dyn JobFeed,
-        offered: f64,
-        obs: &mut O,
-    ) -> SimOutcome {
-        self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        if let Some(mut policy) = self.scheduler {
-            return Session::new(self.cfg, feed, policy.as_mut(), obs, offered, self.model).run();
-        }
-        // No caller-supplied scheduler: build the policy's *concrete*
-        // type and monomorphize the event loop over it. The scheduler
-        // hooks run after every event, so keeping them direct calls
-        // (inlinable, unlike the `Box<dyn Scheduler>` escape hatch
-        // above) measurably raises events/s — see DESIGN.md and
-        // EXPERIMENTS.md (BENCH_2).
-        let cfg = self.cfg;
-        let routing_rng = RngStream::new(cfg.seed).labelled("routing");
-        let opts = PolicyOptions {
-            disposition: cfg.disposition,
-            discipline: cfg.discipline,
-            estimate_factor: cfg.estimate_factor,
-            workload: cfg.workload.clone(),
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    if cfg.warmup == Warmup::Auto {
+        let pilot_source = match source {
+            Source::Stochastic => Some(Source::Stochastic),
+            // Replay is deterministic, so MSER judges exactly the series
+            // the measured run will produce.
+            Source::Trace(trace, time_scale) => Some(Source::Trace(trace, time_scale)),
+            Source::Feed(..) => None,
         };
-        let clusters = cfg.system.num_clusters();
-        let (routing, rule, model) = (cfg.routing.clone(), cfg.rule, self.model);
-        match cfg.policy {
-            PolicyKind::Gs | PolicyKind::Sc => {
-                let mut s = crate::policy::GlobalScheduler::with_options(rule, opts);
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Ls => {
-                let mut s = crate::policy::LocalSchedulers::with_options(
-                    clusters,
-                    routing,
-                    routing_rng,
-                    rule,
-                    opts,
-                );
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Lp => {
-                let mut s = crate::policy::LocalPriority::with_options(
-                    clusters,
-                    routing,
-                    routing_rng,
-                    rule,
-                    opts,
-                );
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
-            PolicyKind::Gb => {
-                let mut s = crate::policy::GlobalBackfill::with_options(rule, opts);
-                Session::new(cfg, feed, &mut s, obs, offered, model).run()
-            }
+        if let Some(pilot_source) = pilot_source {
+            let resolved =
+                resolve_auto_warmup(&cfg, |pilot| execute(pilot, pilot_source, &mut NullObserver));
+            cfg = Cow::Owned(resolved);
+        }
+    }
+    let mut stochastic;
+    let (feed, offered): (&mut dyn JobFeed, f64) = match source {
+        Source::Stochastic => {
+            stochastic = StochasticFeed::new(
+                cfg.workload.clone(),
+                cfg.arrival_rate,
+                cfg.arrival_cv2,
+                cfg.total_jobs,
+                &RngStream::new(cfg.seed),
+            );
+            (&mut stochastic, cfg.offered_gross_utilization())
+        }
+        Source::Feed(feed, offered) => (feed, offered),
+        Source::Trace(trace, time_scale) => {
+            // Offered gross utilization of the replay: the log's gross
+            // work over its (scaled) span times the capacity.
+            let span = trace.jobs.last().expect("non-empty").submit * time_scale;
+            let ratio = cfg.workload.gross_net_ratio();
+            let work: f64 =
+                trace.jobs.iter().map(|j| f64::from(j.size) * j.runtime).sum::<f64>() * ratio;
+            let offered =
+                if span > 0.0 { work / (span * f64::from(cfg.capacity())) } else { f64::NAN };
+            (replay.as_mut().expect("a trace source built its feed"), offered)
+        }
+    };
+    let cfg = &*cfg;
+    let model = cfg.network.map_or(OccupancyModel::Faithful, OccupancyModel::Network);
+    let routing_rng = RngStream::new(cfg.seed).labelled("routing");
+    let opts = PolicyOptions {
+        disposition: cfg.disposition,
+        discipline: cfg.discipline,
+        estimate_factor: cfg.estimate_factor,
+        workload: cfg.workload.clone(),
+    };
+    let clusters = cfg.system.num_clusters();
+    let (routing, rule) = (cfg.routing.clone(), cfg.rule);
+    match cfg.policy {
+        PolicyKind::Gs | PolicyKind::Sc => {
+            let mut s = crate::policy::GlobalScheduler::with_options(rule, opts);
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Ls => {
+            let mut s = crate::policy::LocalSchedulers::with_options(
+                clusters,
+                routing,
+                routing_rng,
+                rule,
+                opts,
+            );
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Lp => {
+            let mut s = crate::policy::LocalPriority::with_options(
+                clusters,
+                routing,
+                routing_rng,
+                rule,
+                opts,
+            );
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
+        }
+        PolicyKind::Gb => {
+            let mut s = crate::policy::GlobalBackfill::with_options(rule, opts);
+            Session::new(cfg, feed, &mut s, obs, offered, model).run()
         }
     }
 }
@@ -343,10 +333,11 @@ impl EngineState {
 /// One fully wired simulation: a config, a feed, a scheduler and an
 /// observer, ready to run the event loop to completion.
 ///
-/// Sessions are normally built by [`SimBuilder`]; construct one directly
-/// only when you already own all four pieces (e.g. an external harness
-/// with its own scheduler implementation).
-pub struct Session<'a, F, S, O>
+/// [`SimBuilder`] builds every session of a release build; the
+/// mutation tests (`audit::mutants`) build one directly to run a
+/// deliberately broken scheduler or occupancy model through the real
+/// loop.
+pub(crate) struct Session<'a, F, S, O>
 where
     F: JobFeed + ?Sized,
     S: Scheduler + ?Sized,
@@ -368,8 +359,9 @@ where
 {
     /// Wires a session together. `offered` is the offered gross
     /// utilization reported in the outcome (the feed knows it; the
-    /// session does not derive it).
-    pub fn new(
+    /// session does not derive it). The config is taken as valid:
+    /// [`SimBuilder`] checks it before it gets here.
+    pub(crate) fn new(
         cfg: &'a SimConfig,
         feed: &'a mut F,
         scheduler: &'a mut S,
@@ -377,7 +369,6 @@ where
         offered: f64,
         model: OccupancyModel,
     ) -> Self {
-        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Session { cfg, feed, scheduler, observer, offered, model }
     }
 
@@ -387,7 +378,7 @@ where
     /// a first pass at t = 0 fills the queues, every pass tops them up
     /// again, and the run stops after the pass that follows departure
     /// number `total_jobs` (the machine is still busy then, by design).
-    pub fn run(mut self) -> SimOutcome {
+    pub(crate) fn run(mut self) -> SimOutcome {
         let mut st = self.init();
         if st.backlog > 0 {
             self.pass(&mut st, SimTime::ZERO, PassTrigger::Arrival);
@@ -1182,6 +1173,38 @@ mod tests {
         assert!(a.metrics.mean_response > 0.0);
     }
 
+    /// The outcome's every field, each float's exact bits included.
+    fn json(out: &SimOutcome) -> String {
+        serde_json::to_string(out).expect("SimOutcome serializes")
+    }
+
+    #[test]
+    fn a_feed_run_keeps_its_warmup_under_auto() {
+        // A caller's feed cannot be replayed for a pilot, so a feed run
+        // measures after `warmup_jobs` even under `Warmup::Auto`.
+        let fixed_cfg = quick(PolicyKind::Gs, 16, 0.5);
+        let mut auto_cfg = fixed_cfg.clone();
+        auto_cfg.warmup = Warmup::Auto;
+        let feed = |cfg: &SimConfig| {
+            StochasticFeed::new(
+                cfg.workload.clone(),
+                cfg.arrival_rate,
+                cfg.arrival_cv2,
+                cfg.total_jobs,
+                &RngStream::new(cfg.seed),
+            )
+        };
+        let offered = fixed_cfg.offered_gross_utilization();
+        let fixed = SimBuilder::new(&fixed_cfg).feed(&mut feed(&fixed_cfg), offered).run();
+        let auto = SimBuilder::new(&auto_cfg).feed(&mut feed(&auto_cfg), offered).run();
+        assert_eq!(json(&auto), json(&fixed));
+        assert_eq!(auto.metrics.departures, fixed_cfg.total_jobs - fixed_cfg.warmup_jobs);
+        // The default source does resolve the warm-up.
+        assert_ne!(json(&SimBuilder::new(&auto_cfg).run()), json(&auto));
+        // Recorded through the entry points that predate `feed`.
+        assert_eq!(auto.metrics.mean_response.to_bits(), 0x408b_b86b_7bb7_5fc0);
+    }
+
     #[test]
     fn sc_has_no_multi_jobs() {
         let mut cfg = SimConfig::das_single_cluster(0.4);
@@ -1220,7 +1243,7 @@ mod trace_replay_tests {
     use coalloc_trace::{generate_das1_log, DasLogConfig};
 
     fn run_trace(cfg: &SimConfig, trace: &coalloc_trace::Trace, time_scale: f64) -> SimOutcome {
-        SimBuilder::new(cfg).run_trace(trace, time_scale)
+        SimBuilder::new(cfg).trace(trace, time_scale).run()
     }
 
     #[test]
@@ -1270,6 +1293,27 @@ mod trace_replay_tests {
         let out = run_trace(&cfg, &log, 1.0);
         assert_eq!(out.arrivals, 2_700);
         assert_eq!(out.completed as usize + out.residual_queued, 2_700);
+    }
+
+    #[test]
+    fn an_auto_warmup_replay_is_the_fixed_replay_at_the_resolved_warmup() {
+        let log = generate_das1_log(&DasLogConfig { jobs: 3_000, ..Default::default() });
+        let mut cfg = SimConfig::das(PolicyKind::Ls, 16, 0.5);
+        cfg.warmup_jobs = 300;
+        cfg.batch_size = 100;
+        cfg.warmup = Warmup::Auto;
+        let auto = run_trace(&cfg, &log, 0.75);
+        // The pilot replays the same trace, so this is the resolution
+        // the auto run made.
+        let resolved = resolve_auto_warmup(&cfg, |pilot| run_trace(pilot, &log, 0.75));
+        assert_eq!(resolved.warmup, Warmup::Fixed);
+        let fixed = run_trace(&resolved, &log, 0.75);
+        let json = |out: &SimOutcome| serde_json::to_string(out).expect("SimOutcome serializes");
+        assert_eq!(json(&auto), json(&fixed));
+        // Recorded through the entry points that predate `trace`.
+        assert_eq!(resolved.warmup_jobs, 20);
+        assert_eq!(auto.metrics.departures, 2_980);
+        assert_eq!(auto.metrics.mean_response.to_bits(), 0x4086_6470_2d3d_b229);
     }
 
     #[test]

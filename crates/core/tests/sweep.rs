@@ -9,9 +9,8 @@
 use std::path::PathBuf;
 
 use coalloc_core::{
-    compare, compare_sweeps, point_digest, replication_seed, sweep, sweep_on, PolicyKind,
-    ScenarioCache, SimConfig, SweepCheckpoint, SweepConfig, SweepPoint, Verdict, WorkerPool,
-    CHECKPOINT_VERSION,
+    point_digest, replication_seed, sweep, sweep_on, PolicyKind, ScenarioCache, SimConfig,
+    SweepCheckpoint, SweepConfig, WorkerPool, CHECKPOINT_VERSION,
 };
 
 fn quick_cfg(policy: PolicyKind) -> impl Fn(f64) -> SimConfig + Sync {
@@ -135,47 +134,6 @@ fn replication_seeds_are_common_random_numbers() {
     assert_ne!(replication_seed(2003, 0), replication_seed(2004, 0));
     // And no longer the old base_seed + rep scheme.
     assert_ne!(replication_seed(2003, 1), 2004);
-}
-
-#[test]
-fn compare_sweeps_verdicts() {
-    let mut cfg = SweepConfig::quick();
-    cfg.utilizations = vec![0.55, 0.65];
-    cfg = cfg.fixed_replications(3);
-    let ls = sweep(quick_cfg(PolicyKind::Ls), &cfg);
-    let lp = sweep(quick_cfg(PolicyKind::Lp), &cfg);
-    let verdicts = compare_sweeps(&ls, &lp);
-    assert_eq!(verdicts.len(), 2);
-    // At 0.65, LS must significantly beat LP (limit 16).
-    assert_eq!(verdicts[1].1, Verdict::AWins, "{verdicts:?}");
-    // Self-comparison is all ties.
-    for (_, v) in compare_sweeps(&ls, &ls) {
-        assert_eq!(v, Verdict::Tie);
-    }
-}
-
-#[test]
-fn compare_runs_both_sides_on_common_random_numbers() {
-    let mut cfg = SweepConfig::quick();
-    cfg.utilizations = vec![0.55];
-    let (a, b, verdicts) = compare(quick_cfg(PolicyKind::Ls), quick_cfg(PolicyKind::Lp), &cfg);
-    assert_eq!(a.len(), 1);
-    assert_eq!(b.len(), 1);
-    assert_eq!(verdicts.len(), 1);
-    // CRN: both sides' replication r ran the same seed.
-    assert_eq!(a[0].outcome.runs.len(), b[0].outcome.runs.len());
-}
-
-#[test]
-#[should_panic(expected = "grid")]
-fn compare_sweeps_rejects_mismatched_grids() {
-    let a: Vec<SweepPoint> = vec![];
-    let b = sweep(quick_cfg(PolicyKind::Gs), &{
-        let mut c = SweepConfig::quick();
-        c.utilizations = vec![0.3];
-        c.fixed_replications(1)
-    });
-    compare_sweeps(&a, &b);
 }
 
 #[test]

@@ -38,7 +38,6 @@ pub struct Simulation<E, C: EventCalendar<E> = HeapCalendar<E>> {
     now: SimTime,
     next_id: u64,
     calendar: C,
-    processed: u64,
     _marker: core::marker::PhantomData<E>,
 }
 
@@ -58,24 +57,13 @@ impl<E> Default for Simulation<E, HeapCalendar<E>> {
 impl<E, C: EventCalendar<E>> Simulation<E, C> {
     /// Creates a simulation at time zero over a custom calendar.
     pub fn with_calendar(calendar: C) -> Self {
-        Simulation {
-            now: SimTime::ZERO,
-            next_id: 0,
-            calendar,
-            processed: 0,
-            _marker: core::marker::PhantomData,
-        }
+        Simulation { now: SimTime::ZERO, next_id: 0, calendar, _marker: core::marker::PhantomData }
     }
 
     /// The current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of events still pending.
@@ -101,13 +89,6 @@ impl<E, C: EventCalendar<E>> Simulation<E, C> {
         self.schedule_at(at, payload)
     }
 
-    /// Schedules `payload` at the current time, after all events already
-    /// scheduled for this instant.
-    pub fn schedule_now(&mut self, payload: E) -> EventId {
-        let now = self.now;
-        self.schedule_at(now, payload)
-    }
-
     /// Cancels a pending event. Returns `true` if the event had not yet
     /// fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -120,23 +101,7 @@ impl<E, C: EventCalendar<E>> Simulation<E, C> {
         let ev = self.calendar.pop()?;
         debug_assert!(ev.time >= self.now, "event calendar returned a past event");
         self.now = ev.time;
-        self.processed += 1;
         Some(ev)
-    }
-
-    /// Like [`Self::step`], but refuses to advance past `horizon`: an event
-    /// later than the horizon is left in the calendar, the clock is set to
-    /// `horizon`, and `None` is returned.
-    pub fn step_until(&mut self, horizon: SimTime) -> Option<Event<E>> {
-        match self.calendar.peek_time() {
-            Some(t) if t <= horizon => self.step(),
-            _ => {
-                if horizon > self.now {
-                    self.now = horizon;
-                }
-                None
-            }
-        }
     }
 
     /// The time of the next pending event, if any.
@@ -174,7 +139,6 @@ mod tests {
         assert_eq!(e2.payload, Ev::B);
         assert_eq!(sim.now(), SimTime::new(5.0));
         assert!(sim.step().is_none());
-        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
@@ -192,7 +156,7 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::new(1.0), 0u32);
         sim.schedule_at(SimTime::new(1.0), 1u32);
-        sim.schedule_now(2u32); // at t=0, fires first
+        sim.schedule_at(sim.now(), 2u32); // at t=0, fires first
         let order: Vec<u32> = std::iter::from_fn(|| sim.step().map(|e| e.payload)).collect();
         assert_eq!(order, vec![2, 0, 1]);
     }
@@ -215,18 +179,6 @@ mod tests {
         sim.schedule_at(SimTime::new(5.0), Ev::A);
         sim.step();
         sim.schedule_at(SimTime::new(1.0), Ev::B);
-    }
-
-    #[test]
-    fn step_until_respects_horizon() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::new(10.0), Ev::A);
-        assert!(sim.step_until(SimTime::new(5.0)).is_none());
-        assert_eq!(sim.now(), SimTime::new(5.0));
-        assert_eq!(sim.events_pending(), 1);
-        let e = sim.step_until(SimTime::new(20.0)).expect("event within horizon");
-        assert_eq!(e.payload, Ev::A);
-        assert_eq!(sim.now(), SimTime::new(10.0));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! A discrete-event engine earns trust by reproducing what theory
 //! already knows. This module provides the classic single-station
 //! formulas (M/M/1, M/M/c via Erlang-C, M/D/1 via Pollaczek–Khinchine,
-//! M/G/1, Erlang-B loss) that the validation tests and examples compare
-//! against.
+//! M/G/1) that the validation tests and examples compare against.
 
 /// Exact mean response time of an M/M/1 queue.
 ///
@@ -73,48 +72,6 @@ pub fn md1_mean_response(lambda: f64, service: f64) -> f64 {
     mg1_mean_wait(lambda, service, 0.0) + service
 }
 
-/// Erlang-B: blocking probability of an M/M/c/c loss system with offered
-/// load `a` Erlangs, computed by the stable recurrence.
-pub fn erlang_b(a: f64, c: u32) -> f64 {
-    assert!(a > 0.0, "offered load must be positive");
-    let mut b = 1.0;
-    for k in 1..=c {
-        b = a * b / (f64::from(k) + a * b);
-    }
-    b
-}
-
-/// Mean number in system of an M/M/c queue (Little: L = λ·T).
-pub fn mmc_mean_in_system(lambda: f64, mu: f64, c: u32) -> f64 {
-    lambda * mmc_mean_response(lambda, mu, c)
-}
-
-/// Steady-state probabilities and blocking of an M/M/c/K queue (at most
-/// `k` customers in the system, `k >= c`): returns the blocking
-/// probability `P(N = k)`.
-pub fn mmck_blocking(lambda: f64, mu: f64, c: u32, k: u32) -> f64 {
-    assert!(c > 0 && k >= c, "need k >= c >= 1");
-    assert!(lambda > 0.0 && mu > 0.0);
-    let a = lambda / mu;
-    let rho = a / f64::from(c);
-    // Unnormalized probabilities p_n / p_0.
-    let mut terms: Vec<f64> = Vec::with_capacity(k as usize + 1);
-    let mut t = 1.0;
-    terms.push(t);
-    for n in 1..=k {
-        t *= if n <= c { a / f64::from(n) } else { rho };
-        terms.push(t);
-    }
-    let total: f64 = terms.iter().sum();
-    terms[k as usize] / total
-}
-
-/// Effective throughput of an M/M/c/K queue (arrivals that are not
-/// blocked).
-pub fn mmck_throughput(lambda: f64, mu: f64, c: u32, k: u32) -> f64 {
-    lambda * (1.0 - mmck_blocking(lambda, mu, c, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,36 +133,5 @@ mod tests {
         let es = 1.0;
         let w = mg1_mean_wait(lambda, es, 1.0);
         assert!((w - (mm1_mean_response(lambda, 1.0) - 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mmck_limits() {
-        // K = c reduces to the Erlang-B loss system.
-        for (a, c) in [(1.0f64, 1u32), (1.0, 2), (5.0, 8)] {
-            let b = mmck_blocking(a, 1.0, c, c);
-            assert!((b - erlang_b(a, c)).abs() < 1e-12, "a {a} c {c}");
-        }
-        // Large K approaches the infinite-buffer M/M/c (no blocking when
-        // stable).
-        assert!(mmck_blocking(0.5, 1.0, 1, 60) < 1e-12 + 0.5f64.powi(60) * 2.0);
-        // Blocking decreases with buffer size.
-        assert!(mmck_blocking(0.9, 1.0, 1, 5) > mmck_blocking(0.9, 1.0, 1, 20));
-        // Throughput never exceeds the offered rate.
-        assert!(mmck_throughput(2.0, 1.0, 1, 4) < 2.0);
-    }
-
-    #[test]
-    fn mmc_mean_in_system_little() {
-        // M/M/1, rho 0.5: L = rho/(1-rho) = 1.
-        assert!((mmc_mean_in_system(0.5, 1.0, 1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn erlang_b_textbook_value() {
-        // a = 1 Erlang, c = 1: B = 1/2. c = 2: B = 1/5.
-        assert!((erlang_b(1.0, 1) - 0.5).abs() < 1e-12);
-        assert!((erlang_b(1.0, 2) - 0.2).abs() < 1e-12);
-        // Blocking decreases with more servers.
-        assert!(erlang_b(5.0, 10) < erlang_b(5.0, 6));
     }
 }

@@ -60,26 +60,6 @@ impl JobSizeDist {
         JobSizeDist::custom(format!("uniform[{lo},{hi}]"), &pmf)
     }
 
-    /// A pure powers-of-two distribution up to `max` (which must itself
-    /// be a power of two), with geometric weight `decay` per doubling
-    /// (`decay = 1` is uniform over the powers).
-    pub fn powers_of_two(max: u32, decay: f64) -> Self {
-        assert!(max.is_power_of_two(), "max must be a power of two");
-        assert!(decay > 0.0 && decay.is_finite());
-        let mut pmf = Vec::new();
-        let mut v = 1u32;
-        let mut w = 1.0;
-        while v <= max {
-            pmf.push((v, w));
-            w *= decay;
-            if v == max {
-                break;
-            }
-            v *= 2;
-        }
-        JobSizeDist::custom(format!("pow2[..={max}]"), &pmf)
-    }
-
     /// Builds a distribution from explicit `(size, weight)` pairs.
     pub fn custom(name: impl Into<String>, pmf: &[(u32, f64)]) -> Self {
         assert!(pmf.iter().all(|&(v, _)| v > 0), "job sizes must be positive");
@@ -224,23 +204,6 @@ mod tests {
         assert!((d.mean() - 5.5).abs() < 1e-12);
         assert!((d.pmf(4) - 0.25).abs() < 1e-12);
         assert_eq!(d.pmf(8), 0.0);
-    }
-
-    #[test]
-    fn powers_of_two_constructor() {
-        let d = JobSizeDist::powers_of_two(8, 0.5);
-        // Weights 1, 0.5, 0.25, 0.125 over 1,2,4,8.
-        assert_eq!(d.support().len(), 4);
-        assert!((d.pmf(1) - 1.0 / 1.875).abs() < 1e-12);
-        assert!((d.pmf(8) - 0.125 / 1.875).abs() < 1e-12);
-        let flat = JobSizeDist::powers_of_two(4, 1.0);
-        assert!((flat.pmf(1) - flat.pmf(4)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn powers_of_two_rejects_non_power() {
-        JobSizeDist::powers_of_two(12, 0.5);
     }
 
     #[test]

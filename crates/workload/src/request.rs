@@ -56,7 +56,8 @@ impl Components {
     }
 
     /// The split of `total` into `n` non-increasing parts (the layout of
-    /// [`split_evenly`]), built without an allocation when it fits inline.
+    /// [`crate::split::split_evenly`]), built without an allocation when
+    /// it fits inline.
     fn from_even_split(total: u32, n: usize) -> Self {
         if n <= INLINE_COMPONENTS {
             assert!(total as usize >= n, "cannot split {total} into {n} non-empty components");

@@ -4,6 +4,12 @@
 //! offered load.
 //!
 //! Run with: `cargo run --release --example trace_replay [path.swf]`
+//!
+//! A given SWF log is sorted by submit time after parsing (a stable
+//! sort, so records that share a submit time keep their order): real
+//! logs are not always in submit order, and replay needs them to be.
+//! The warm-up is a tenth of the log, at most 2 000 jobs, so a short
+//! log still leaves jobs to measure.
 
 use coalloc::core::report::format_table;
 use coalloc::core::{PolicyKind, SimBuilder, SimConfig};
@@ -13,7 +19,9 @@ fn main() {
     let log = match std::env::args().nth(1) {
         Some(path) => {
             let text = std::fs::read_to_string(&path).expect("readable SWF file");
-            trace::parse_swf(&text).expect("valid SWF")
+            let mut log = trace::parse_swf(&text).expect("valid SWF");
+            log.sort_by_submit();
+            log
         }
         None => trace::generate_das1_log(&DasLogConfig { jobs: 20_000, ..Default::default() }),
     };
@@ -30,8 +38,8 @@ fn main() {
             } else {
                 SimConfig::das(policy, 16, 0.5)
             };
-            cfg.warmup_jobs = 2_000;
-            let out = SimBuilder::new(&cfg).run_trace(&log, time_scale);
+            cfg.warmup_jobs = (log.len() as u64 / 10).min(2_000);
+            let out = SimBuilder::new(&cfg).trace(&log, time_scale).run();
             offered = out.offered_gross_utilization;
             row.push(format!(
                 "{:.0}{}",

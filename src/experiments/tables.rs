@@ -1,7 +1,9 @@
 //! The paper's tables.
 
 use coalloc_core::report::format_table;
-use coalloc_core::saturation::{bisect_max_utilization, maximal_utilization, SaturationConfig};
+use coalloc_core::saturation::{
+    bisect_max_utilization, maximal_utilization, ProbePlan, SaturationConfig,
+};
 use coalloc_trace::{generate_das1_log, DasLogConfig};
 use coalloc_workload::{JobSizeDist, Workload};
 
@@ -102,23 +104,23 @@ pub fn ratios() -> String {
 /// **Table 3, extended** — maximal utilization of *every* policy per
 /// limit: GS and SC by the paper's constant-backlog method, LS and LP by
 /// open-system bisection (the constant-backlog method is only valid for
-/// a single global queue).
+/// a single global queue). The six searches share one worker pool and
+/// probe each utilization with a single replication.
 pub fn table3_extended(scale: Scale) -> String {
-    use coalloc_core::{PolicyKind, SimConfig};
+    use coalloc_core::{PolicyKind, SimConfig, WorkerPool};
+    let pool = WorkerPool::new(0);
+    let plan = ProbePlan { replications: 1 };
     let mut rows = Vec::new();
     for limit in [16u32, 24, 32] {
         for policy in [PolicyKind::Ls, PolicyKind::Lp] {
-            let max = bisect_max_utilization(
-                |util| {
-                    let mut cfg = SimConfig::das(policy, limit, util);
-                    cfg.total_jobs = scale.total_jobs() / 2;
-                    cfg.warmup_jobs = scale.warmup_jobs() / 2;
-                    cfg
-                },
-                0.2,
-                1.0,
-                0.02,
-            );
+            let make_cfg = |util| {
+                let mut cfg = SimConfig::das(policy, limit, util);
+                cfg.total_jobs = scale.total_jobs() / 2;
+                cfg.warmup_jobs = scale.warmup_jobs() / 2;
+                cfg
+            };
+            let max = bisect_max_utilization(&pool, make_cfg, 0.2, 1.0, 0.02, &plan, None)
+                .unwrap_or_else(|e| panic!("{} limit {limit}: {e:?}", policy.label()));
             let net = max / coalloc_workload::Workload::das(limit).gross_net_ratio();
             rows.push(vec![
                 format!("{} limit {limit}", policy.label()),

@@ -30,12 +30,11 @@
 //! `interrupt`, `disposition`, `discipline`, `estimate_factor`,
 //! `network`, `warmup`, `inject_panic`) with the same string syntax as
 //! the CLI flags. `kind: "saturation"` instead takes `lo`, `hi`,
-//! `tolerance`, and `replications` and runs the replicated bisection;
-//! those four are checked before the first probe
-//! ([`validate_bisection`](coalloc_core::validate_bisection)), and the
-//! first two probes check that `lo` is stable and `hi` saturated, so a
-//! bad value or a bracket that misses the threshold is an `error` event
-//! naming the field, not a panic.
+//! `tolerance`, and `replications` and runs the replicated bisection
+//! ([`bisect_max_utilization`]); it checks those four before its first
+//! probe, and its first two probes check that `lo` is stable and `hi`
+//! saturated, so a bad value or a bracket that misses the threshold is
+//! an `error` event naming the field, not a panic.
 //!
 //! Request lifecycle controls:
 //!
@@ -85,9 +84,7 @@ use std::time::Duration;
 use coalloc_core::experiment::{
     CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
 };
-use coalloc_core::{
-    bisect_max_utilization_cancellable_on, BisectionError, CoallocError, ProbePlan,
-};
+use coalloc_core::{bisect_max_utilization, BisectionError, CoallocError, ProbePlan};
 
 use crate::experiments::Scale;
 use crate::scenario::ScenarioSpec;
@@ -389,10 +386,10 @@ fn handle_request(
             }
         }
         Some("saturation") => {
-            let plan = ProbePlan { replications: req.replications.unwrap_or(3), threads: 0 };
+            let plan = ProbePlan { replications: req.replications.unwrap_or(3) };
             let (lo, hi) = (req.lo.unwrap_or(0.3), req.hi.unwrap_or(1.2));
             let tolerance = req.tolerance.unwrap_or(0.05);
-            match bisect_max_utilization_cancellable_on(
+            match bisect_max_utilization(
                 pool,
                 spec.make_cfg(),
                 lo,
@@ -770,6 +767,28 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| str_field(e, "event") == "timeout" && str_field(e, "id") == "late"));
+        assert!(events
+            .iter()
+            .any(|e| str_field(e, "event") == "result" && str_field(e, "id") == "ok"));
+    }
+
+    #[test]
+    fn an_expired_saturation_deadline_reports_one_timeout_and_the_daemon_keeps_serving() {
+        let input = concat!(
+            r#"{"id":"late","kind":"saturation","policy":"GS","limit":16,"lo":0.3,"hi":1.2,"replications":1,"timeout_ms":0}"#,
+            "\n",
+            r#"{"id":"ok","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.2],"min_reps":1,"max_reps":1}"#,
+            "\n",
+        );
+        let (events, summary) = run_lines(input);
+        assert_eq!(summary.cancelled, 1);
+        assert_eq!(summary.errors, 0);
+        let late: Vec<String> = events
+            .iter()
+            .filter(|e| str_field(e, "id") == "late")
+            .map(|e| str_field(e, "event"))
+            .collect();
+        assert_eq!(late, ["timeout"], "the search's only event is its timeout");
         assert!(events
             .iter()
             .any(|e| str_field(e, "event") == "result" && str_field(e, "id") == "ok"));

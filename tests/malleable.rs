@@ -402,7 +402,7 @@ fn resplit_never_adopts_a_split_its_local_queue_cannot_start() {
         JobSpec { request: JobRequest::new(vec![32, 32]), base_service: Duration::new(1_000.0) };
     let mut feed = ScriptFeed::new(vec![(0.0, spec)]);
     let mut auditor = InvariantAuditor::new(&cfg);
-    let out: SimOutcome = SimBuilder::new(&cfg).run_feed_observed(&mut feed, 0.5, &mut auditor);
+    let out: SimOutcome = SimBuilder::new(&cfg).feed(&mut feed, 0.5).run_observed(&mut auditor);
     assert!(auditor.is_clean(), "{}", auditor.report());
     assert_eq!(
         out.completed, 1,
@@ -447,11 +447,9 @@ fn run_starvation_stream(policy: PolicyKind, discipline: QueueDiscipline) -> Sta
     let mut feed = ScriptFeed::new(starvation_stream());
     let mut starts = StartTimes::default();
     let mut auditor = InvariantAuditor::new(&cfg);
-    SimBuilder::new(&cfg).run_feed_observed(
-        &mut feed,
-        0.5,
-        &mut Tee::new(&mut starts, &mut auditor),
-    );
+    SimBuilder::new(&cfg)
+        .feed(&mut feed, 0.5)
+        .run_observed(&mut Tee::new(&mut starts, &mut auditor));
     assert!(auditor.is_clean(), "{policy}/{}: {}", discipline.label(), auditor.report());
     starts
 }

@@ -59,7 +59,7 @@ fn replay_and_sampling_agree_at_low_load() {
     // Stretch the log to near-zero load so every job starts on arrival.
     let mut cfg = SimConfig::das(PolicyKind::Gs, 16, 0.1);
     cfg.warmup_jobs = 800;
-    let replay = SimBuilder::new(&cfg).run_trace(&log, 10.0);
+    let replay = SimBuilder::new(&cfg).trace(&log, 10.0).run();
     // At near-zero load the mean response equals the mean (extended)
     // occupancy of the log's jobs.
     let w = Workload::das(16);
