@@ -88,16 +88,6 @@ impl SweepConfig {
         self
     }
 
-    /// The worker-pool width this configuration asks for: `threads`,
-    /// with 0 resolved to one per available core.
-    pub(crate) fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.threads
-        }
-    }
-
     /// Checks the grid and the replication bounds: at least one
     /// utilization, each positive and finite; at least one replication,
     /// a cap no lower than the minimum; and a positive, finite

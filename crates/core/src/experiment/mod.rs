@@ -318,6 +318,6 @@ pub fn sweep<F>(make_cfg: F, sweep_cfg: &SweepConfig) -> Vec<SweepPoint>
 where
     F: Fn(f64) -> SimConfig,
 {
-    let pool = WorkerPool::new(sweep_cfg.resolved_threads());
+    let pool = WorkerPool::new(sweep_cfg.threads);
     sweep_on(&pool, None, make_cfg, sweep_cfg, |_| {}).0
 }

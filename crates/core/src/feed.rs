@@ -125,7 +125,8 @@ impl JobFeed for BacklogFeed {
 /// sizes (split under the configured limit), and its runtimes as base
 /// service times.
 pub struct TraceFeed {
-    /// `(submit_seconds, size, runtime_seconds)` in submit order.
+    /// `(submit_seconds, size, runtime_seconds)` in submit order
+    /// (records sharing a submit time in log order).
     jobs: std::vec::IntoIter<(f64, u32, f64)>,
     limit: u32,
     clusters: usize,
@@ -142,23 +143,25 @@ impl TraceFeed {
     /// arrivals that perturb queue order and the arrival count. Size
     /// the run by [`TraceFeed::len`], not by the raw log length.
     ///
+    /// Real logs are not always in submit order, so the records replay
+    /// in submit order whatever the log's order. The sort is stable:
+    /// records that share a submit time keep their log order.
+    ///
     /// # Panics
-    /// Panics on an unsorted log, a non-positive time scale, or a log
-    /// with no positive-runtime record left to replay.
+    /// Panics on a non-positive time scale, a submit time that is not
+    /// a number, or a log with no positive-runtime record left to
+    /// replay.
     pub fn new(trace: &Trace, limit: u32, clusters: usize, time_scale: f64) -> Self {
         assert!(!trace.is_empty(), "cannot replay an empty log");
         assert!(time_scale > 0.0 && time_scale.is_finite(), "time scale must be positive");
-        assert!(
-            trace.jobs.windows(2).all(|w| w[0].submit <= w[1].submit),
-            "log must be sorted by submit time"
-        );
-        let jobs: Vec<(f64, u32, f64)> = trace
+        let mut jobs: Vec<(f64, u32, f64)> = trace
             .jobs
             .iter()
             .filter(|j| j.runtime > 0.0)
             .map(|j| (j.submit, j.size, j.runtime))
             .collect();
         assert!(!jobs.is_empty(), "cannot replay a log with no positive-runtime jobs");
+        jobs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("submit times are comparable"));
         TraceFeed { jobs: jobs.into_iter(), limit, clusters, time_scale }
     }
 
@@ -296,6 +299,19 @@ mod tests {
         assert!(s2.base_service.seconds() > 0.0);
         assert!(feed.next_job().is_none());
         assert!(feed.is_empty());
+    }
+
+    #[test]
+    fn an_out_of_order_log_replays_in_submit_order() {
+        // Stable: the two records submitted at 50 keep their log order.
+        let trace =
+            toy_trace(&[(100.0, 8, 10.0), (50.0, 4, 20.0), (200.0, 2, 30.0), (50.0, 1, 40.0)]);
+        let mut feed = TraceFeed::new(&trace, 16, 4, 1.0);
+        let mut replayed = Vec::new();
+        while let Some((t, spec)) = feed.next_job() {
+            replayed.push((t.seconds(), spec.request.total()));
+        }
+        assert_eq!(replayed, [(50.0, 4), (50.0, 1), (100.0, 8), (200.0, 2)]);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 pub mod analysis;
 pub mod audit;
-pub mod cluster;
 pub mod error;
 pub mod experiment;
 pub mod fault;
@@ -43,7 +42,6 @@ pub use audit::{
     EventRecord, Interruption, InvariantAuditor, JsonlSink, NullObserver, PassTrigger,
     PlacementDecision, PlacementScope, Resize, SimObserver, Tee, Violation, ViolationKind,
 };
-pub use cluster::Cluster;
 pub use error::{CoallocError, ConfigError};
 pub use experiment::{
     point_digest, replication_seed, sweep, sweep_digest, sweep_on, sweep_on_cancellable,

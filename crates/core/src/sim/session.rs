@@ -187,9 +187,9 @@ impl<'a> SimBuilder<'a> {
     }
 }
 
-/// The shared work of every run: size a replay by its feed, validate
-/// the config once, resolve [`Warmup::Auto`] with a pilot over the same
-/// source, then run the policy's *concrete* scheduler type through the
+/// The shared work of every run: size a replay by its feed, resolve
+/// [`Warmup::Auto`] with a pilot over the same source, validate the
+/// config once, then run the policy's *concrete* scheduler type through the
 /// monomorphized event loop. The scheduler hooks run after every event,
 /// so keeping them direct (inlinable) calls measurably raises events/s
 /// — see DESIGN.md and EXPERIMENTS.md (BENCH_2).
@@ -204,7 +204,6 @@ fn execute<O: SimObserver>(cfg: &SimConfig, source: Source<'_>, obs: &mut O) -> 
         cfg.to_mut().total_jobs = feed.len() as u64;
         replay = Some(feed);
     }
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     if cfg.warmup == Warmup::Auto {
         let pilot_source = match source {
             Source::Stochastic => Some(Source::Stochastic),
@@ -213,12 +212,15 @@ fn execute<O: SimObserver>(cfg: &SimConfig, source: Source<'_>, obs: &mut O) -> 
             Source::Trace(trace, time_scale) => Some(Source::Trace(trace, time_scale)),
             Source::Feed(..) => None,
         };
+        // The pilot validates every field but the warm-up it replaces;
+        // the measured run's warm-up is checked below, once resolved.
         if let Some(pilot_source) = pilot_source {
             let resolved =
                 resolve_auto_warmup(&cfg, |pilot| execute(pilot, pilot_source, &mut NullObserver));
             cfg = Cow::Owned(resolved);
         }
     }
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let mut stochastic;
     let (feed, offered): (&mut dyn JobFeed, f64) = match source {
         Source::Stochastic => {
@@ -234,8 +236,10 @@ fn execute<O: SimObserver>(cfg: &SimConfig, source: Source<'_>, obs: &mut O) -> 
         Source::Feed(feed, offered) => (feed, offered),
         Source::Trace(trace, time_scale) => {
             // Offered gross utilization of the replay: the log's gross
-            // work over its (scaled) span times the capacity.
-            let span = trace.jobs.last().expect("non-empty").submit * time_scale;
+            // work over its (scaled) span times the capacity. The span
+            // ends at the latest submit, wherever the log records it.
+            let last = trace.jobs.iter().map(|j| j.submit).fold(f64::NEG_INFINITY, f64::max);
+            let span = last * time_scale;
             let ratio = cfg.workload.gross_net_ratio();
             let work: f64 =
                 trace.jobs.iter().map(|j| f64::from(j.size) * j.runtime).sum::<f64>() * ratio;
@@ -1240,7 +1244,7 @@ mod tests {
 mod trace_replay_tests {
     use super::*;
     use crate::policy::PolicyKind;
-    use coalloc_trace::{generate_das1_log, DasLogConfig};
+    use coalloc_trace::{generate_das1_log, DasLogConfig, JobStatus, Trace, TraceJob};
 
     fn run_trace(cfg: &SimConfig, trace: &coalloc_trace::Trace, time_scale: f64) -> SimOutcome {
         SimBuilder::new(cfg).trace(trace, time_scale).run()
@@ -1298,22 +1302,54 @@ mod trace_replay_tests {
     #[test]
     fn an_auto_warmup_replay_is_the_fixed_replay_at_the_resolved_warmup() {
         let log = generate_das1_log(&DasLogConfig { jobs: 3_000, ..Default::default() });
-        let mut cfg = SimConfig::das(PolicyKind::Ls, 16, 0.5);
-        cfg.warmup_jobs = 300;
-        cfg.batch_size = 100;
-        cfg.warmup = Warmup::Auto;
-        let auto = run_trace(&cfg, &log, 0.75);
-        // The pilot replays the same trace, so this is the resolution
-        // the auto run made.
-        let resolved = resolve_auto_warmup(&cfg, |pilot| run_trace(pilot, &log, 0.75));
-        assert_eq!(resolved.warmup, Warmup::Fixed);
-        let fixed = run_trace(&resolved, &log, 0.75);
+        // MSER replaces the configured warm-up, so the run is the same
+        // whether it is 300 or `SimConfig::das`'s 5 000 — more jobs than
+        // the log holds, which only the resolved warm-up must undercut.
+        for configured in [300, SimConfig::das(PolicyKind::Ls, 16, 0.5).warmup_jobs] {
+            let mut cfg = SimConfig::das(PolicyKind::Ls, 16, 0.5);
+            cfg.warmup_jobs = configured;
+            cfg.batch_size = 100;
+            cfg.warmup = Warmup::Auto;
+            let auto = run_trace(&cfg, &log, 0.75);
+            // The pilot replays the same trace, so this is the resolution
+            // the auto run made.
+            let resolved = resolve_auto_warmup(&cfg, |pilot| run_trace(pilot, &log, 0.75));
+            assert_eq!(resolved.warmup, Warmup::Fixed);
+            let fixed = run_trace(&resolved, &log, 0.75);
+            let json =
+                |out: &SimOutcome| serde_json::to_string(out).expect("SimOutcome serializes");
+            assert_eq!(json(&auto), json(&fixed), "configured warm-up {configured}");
+            // Recorded through the entry points that predate `trace`.
+            assert_eq!(resolved.warmup_jobs, 20);
+            assert_eq!(auto.metrics.departures, 2_980);
+            assert_eq!(auto.metrics.mean_response.to_bits(), 0x4086_6470_2d3d_b229);
+        }
+    }
+
+    #[test]
+    fn an_out_of_order_log_replays_like_the_sorted_log() {
+        let log = |records: &[(u32, f64)]| {
+            let mut log = Trace::new("toy", 128);
+            log.jobs.extend(records.iter().map(|&(id, submit)| TraceJob {
+                id,
+                submit,
+                size: 16 * id,
+                runtime: 400.0,
+                user: 0,
+                status: JobStatus::Completed,
+            }));
+            log
+        };
+        let mut cfg = SimConfig::das(PolicyKind::Gs, 16, 0.5);
+        cfg.warmup_jobs = 0;
         let json = |out: &SimOutcome| serde_json::to_string(out).expect("SimOutcome serializes");
-        assert_eq!(json(&auto), json(&fixed));
-        // Recorded through the entry points that predate `trace`.
-        assert_eq!(resolved.warmup_jobs, 20);
-        assert_eq!(auto.metrics.departures, 2_980);
-        assert_eq!(auto.metrics.mean_response.to_bits(), 0x4086_6470_2d3d_b229);
+        let sorted = run_trace(&cfg, &log(&[(2, 50.0), (1, 100.0), (3, 200.0)]), 1.0);
+        assert_eq!(sorted.arrivals, 3);
+        // The second order's last record is not its latest submit.
+        for records in [[(1, 100.0), (2, 50.0), (3, 200.0)], [(3, 200.0), (1, 100.0), (2, 50.0)]] {
+            let replay = run_trace(&cfg, &log(&records), 1.0);
+            assert_eq!(json(&replay), json(&sorted), "{records:?}");
+        }
     }
 
     #[test]

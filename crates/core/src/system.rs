@@ -1,7 +1,6 @@
 //! The multicluster system (§2.2): `C` clusters of possibly different
 //! sizes with identical processor service rates.
 
-use crate::cluster::Cluster;
 use crate::job::Placement;
 use crate::placement::MAX_CLUSTERS;
 
@@ -208,19 +207,21 @@ impl std::str::FromStr for SystemSpec {
     }
 }
 
-/// The processors of a multicluster system.
+/// The processors of a multicluster system. Processors are identical
+/// and exclusively allocated (space sharing, §1): a job component
+/// occupies its processors from start to departure.
 ///
-/// The per-cluster idle counts are cached in a flat vector kept in sync
-/// by [`MultiCluster::apply`]/[`MultiCluster::release`], so the
+/// Per cluster the system keeps its capacity, its usable idle count and
+/// the processors an outage took offline; whatever is neither idle nor
+/// offline is busy. The idle counts are one flat vector, so the
 /// schedulers' fit checks ([`MultiCluster::idle_per_cluster`]) borrow a
 /// slice instead of collecting a fresh `Vec` on every placement attempt.
 #[derive(Clone, Debug)]
 pub struct MultiCluster {
-    clusters: Vec<Cluster>,
-    /// Idle processors per cluster, mirroring `clusters` (the
-    /// allocation-free fast path for placement fit checks). Under an
-    /// outage this is the *effective* idle count: the offline share is
-    /// subtracted so fit checks see only usable processors.
+    /// Processors per cluster.
+    capacity: Vec<u32>,
+    /// Usable idle processors per cluster. Under an outage the offline
+    /// share is not idle, so fit checks see only usable processors.
     idle: Vec<u32>,
     /// Processors currently offline per cluster (0 = healthy). Empty
     /// until the first fault touches the system, so fault-free runs pay
@@ -230,10 +231,14 @@ pub struct MultiCluster {
 
 impl MultiCluster {
     /// Builds a system from per-cluster capacities.
+    ///
+    /// # Panics
+    /// Panics on an empty list or a cluster without processors.
     pub fn new(capacities: &[u32]) -> Self {
         assert!(!capacities.is_empty(), "a system needs at least one cluster");
+        assert!(capacities.iter().all(|&c| c > 0), "a cluster needs at least one processor");
         MultiCluster {
-            clusters: capacities.iter().map(|&c| Cluster::new(c)).collect(),
+            capacity: capacities.to_vec(),
             idle: capacities.to_vec(),
             outage: Vec::new(),
         }
@@ -262,41 +267,39 @@ impl MultiCluster {
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.capacity.len()
     }
 
     /// Total processors across all clusters.
     pub fn total_capacity(&self) -> u32 {
-        self.clusters.iter().map(Cluster::capacity).sum()
+        self.capacity.iter().sum()
     }
 
     /// Total busy processors.
     pub fn total_busy(&self) -> u32 {
-        self.clusters.iter().map(Cluster::busy).sum()
+        (0..self.num_clusters()).map(|k| self.busy(k)).sum()
+    }
+
+    /// Processors of one cluster currently allocated.
+    fn busy(&self, cluster: usize) -> u32 {
+        self.effective_capacity(cluster) - self.idle[cluster]
     }
 
     /// Idle processors in each cluster, as a borrowed slice (no
-    /// allocation; the cache is maintained by apply/release). Offline
-    /// processors are not idle: under an outage the entries are the
-    /// *usable* idle counts.
+    /// allocation; apply/release keep it). Offline processors are not
+    /// idle: under an outage the entries are the *usable* idle counts.
     pub fn idle_per_cluster(&self) -> &[u32] {
-        debug_assert!(self
-            .idle
-            .iter()
-            .zip(&self.clusters)
-            .enumerate()
-            .all(|(k, (&i, c))| i + self.outage_of(k) == c.idle()));
         &self.idle
     }
 
     /// Idle *usable* processors in one cluster.
     pub fn idle(&self, cluster: usize) -> u32 {
-        self.clusters[cluster].idle() - self.outage_of(cluster)
+        self.idle[cluster]
     }
 
     /// Capacity of one cluster.
     pub fn capacity(&self, cluster: usize) -> u32 {
-        self.clusters[cluster].capacity()
+        self.capacity[cluster]
     }
 
     /// Processors of one cluster currently offline (0 when healthy).
@@ -306,7 +309,7 @@ impl MultiCluster {
 
     /// Usable capacity of one cluster: full capacity minus the outage.
     pub fn effective_capacity(&self, cluster: usize) -> u32 {
-        self.clusters[cluster].capacity() - self.outage_of(cluster)
+        self.capacity[cluster] - self.outage_of(cluster)
     }
 
     /// Total processors currently offline across all clusters.
@@ -327,16 +330,16 @@ impl MultiCluster {
     /// Panics if the cluster is already degraded, still has busy
     /// processors, or `remaining` is not below its capacity.
     pub fn set_down(&mut self, cluster: usize, remaining: u32) {
-        let cap = self.clusters[cluster].capacity();
+        let cap = self.capacity[cluster];
         assert!(!self.is_degraded(cluster), "cluster {cluster} is already down");
         assert_eq!(
-            self.clusters[cluster].busy(),
+            self.busy(cluster),
             0,
             "cluster {cluster} still has busy processors; kill its jobs first"
         );
         assert!(remaining < cap, "remaining {remaining} is not below capacity {cap}");
         if self.outage.is_empty() {
-            self.outage = vec![0; self.clusters.len()];
+            self.outage = vec![0; self.capacity.len()];
         }
         self.outage[cluster] = cap - remaining;
         self.idle[cluster] = remaining;
@@ -356,39 +359,32 @@ impl MultiCluster {
     /// Applies a placement: allocates every component's processors.
     ///
     /// # Panics
-    /// Panics (in [`Cluster::allocate`]) if the placement does not fit —
-    /// placements must come from a fit check against the current state.
-    /// On a degraded cluster the raw allocator would wrongly count
-    /// offline processors as idle, so the fit is checked here against
-    /// the *effective* idle count and the non-panicking
-    /// [`Cluster::try_allocate`] does the bookkeeping.
+    /// Panics if a component needs more processors than its cluster has
+    /// usable and idle — placements must come from a fit check against
+    /// the current state, so over-allocation is always a bug.
     pub fn apply(&mut self, placement: &Placement) {
         for &(cluster, procs) in placement.assignments() {
-            if self.is_degraded(cluster) {
-                assert!(
-                    procs <= self.idle[cluster],
-                    "allocating {procs} processors on degraded cluster {cluster} \
-                     but only {} usable",
-                    self.idle[cluster]
-                );
-                let fit = self.clusters[cluster].try_allocate(procs);
-                debug_assert!(fit, "raw idle cannot be below effective idle");
-            } else {
-                self.clusters[cluster].allocate(procs);
-            }
-            self.idle[cluster] -= procs;
+            let idle = &mut self.idle[cluster];
+            assert!(
+                procs <= *idle,
+                "allocating {procs} processors on cluster {cluster} but only {idle} usable"
+            );
+            *idle -= procs;
         }
     }
 
     /// Undoes a placement: releases every component's processors.
+    ///
+    /// # Panics
+    /// Panics if a component releases more processors than its cluster
+    /// has busy.
     pub fn release(&mut self, placement: &Placement) {
         for &(cluster, procs) in placement.assignments() {
-            if self.is_degraded(cluster) {
-                let held = self.clusters[cluster].try_release(procs);
-                debug_assert!(held, "releasing more than the cluster holds");
-            } else {
-                self.clusters[cluster].release(procs);
-            }
+            let busy = self.busy(cluster);
+            assert!(
+                procs <= busy,
+                "releasing {procs} processors on cluster {cluster} but only {busy} busy"
+            );
             self.idle[cluster] += procs;
         }
     }
@@ -433,6 +429,38 @@ mod tests {
     #[should_panic(expected = "at least one cluster")]
     fn empty_system_rejected() {
         MultiCluster::new(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a cluster needs at least one processor")]
+    fn zero_capacity_rejected() {
+        MultiCluster::new(&[32, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "allocating 13 processors on cluster 1 but only 12 usable")]
+    fn over_allocation_panics() {
+        let mut mc = MultiCluster::das_multicluster();
+        mc.apply(&Placement::new(vec![(1, 20)]));
+        mc.apply(&Placement::new(vec![(0, 4), (1, 13)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing 9 processors on cluster 2 but only 8 busy")]
+    fn over_release_panics() {
+        let mut mc = MultiCluster::das_multicluster();
+        mc.apply(&Placement::new(vec![(2, 8)]));
+        mc.release(&Placement::new(vec![(2, 9)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing 1 processors on cluster 0 but only 0 busy")]
+    fn releasing_offline_processors_panics() {
+        // Offline processors are neither idle nor busy: a degraded
+        // cluster with nothing running has nothing to release.
+        let mut mc = MultiCluster::das_multicluster();
+        mc.set_down(0, 8);
+        mc.release(&Placement::new(vec![(0, 1)]));
     }
 
     #[test]

@@ -93,32 +93,6 @@ impl Variate for Deterministic {
     }
 }
 
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi);
-        Uniform { lo, hi }
-    }
-}
-
-impl Variate for Uniform {
-    #[inline]
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        rng.uniform_in(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// Erlang-k distribution (sum of `k` i.i.d. exponentials), CV² = 1/k.
 #[derive(Clone, Copy, Debug)]
 pub struct Erlang {
@@ -532,17 +506,6 @@ mod tests {
         let mut r = rng();
         assert_eq!(d.sample(&mut r), 7.0);
         assert_eq!(d.mean(), 7.0);
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(2.0, 6.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((2.0..6.0).contains(&x));
-        }
-        assert!((sample_mean(&d, 100_000) - 4.0).abs() < 0.02);
     }
 
     #[test]

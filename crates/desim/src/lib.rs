@@ -38,7 +38,7 @@ pub mod warmup;
 pub use calendar::{EventCalendar, HeapCalendar};
 pub use dist::{
     Deterministic, EmpiricalContinuous, EmpiricalDiscrete, Erlang, Exponential, HyperExponential,
-    Uniform, Variate,
+    Variate,
 };
 pub use engine::Simulation;
 pub use event::{Event, EventId};

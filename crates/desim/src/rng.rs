@@ -97,13 +97,6 @@ impl RngStream {
         1.0 - self.uniform()
     }
 
-    /// Uniform variate in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)` by Lemire's unbiased multiply-shift
     /// rejection method.
     #[inline]
@@ -200,8 +193,6 @@ mod tests {
             assert!((0.0..1.0).contains(&u));
             let v = r.uniform_pos();
             assert!(v > 0.0 && v <= 1.0);
-            let w = r.uniform_in(5.0, 9.0);
-            assert!((5.0..9.0).contains(&w));
         }
     }
 

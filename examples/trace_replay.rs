@@ -5,11 +5,10 @@
 //!
 //! Run with: `cargo run --release --example trace_replay [path.swf]`
 //!
-//! A given SWF log is sorted by submit time after parsing (a stable
-//! sort, so records that share a submit time keep their order): real
-//! logs are not always in submit order, and replay needs them to be.
-//! The warm-up is a tenth of the log, at most 2 000 jobs, so a short
-//! log still leaves jobs to measure.
+//! A given SWF log need not be in submit order: the replay takes its
+//! records in submit order (records that share a submit time keep their
+//! log order). The warm-up is a tenth of the log, at most 2 000 jobs, so
+//! a short log still leaves jobs to measure.
 
 use coalloc::core::report::format_table;
 use coalloc::core::{PolicyKind, SimBuilder, SimConfig};
@@ -19,9 +18,7 @@ fn main() {
     let log = match std::env::args().nth(1) {
         Some(path) => {
             let text = std::fs::read_to_string(&path).expect("readable SWF file");
-            let mut log = trace::parse_swf(&text).expect("valid SWF");
-            log.sort_by_submit();
-            log
+            trace::parse_swf(&text).expect("valid SWF")
         }
         None => trace::generate_das1_log(&DasLogConfig { jobs: 20_000, ..Default::default() }),
     };

@@ -2,16 +2,15 @@
 //! (HPDC 2003) from the simulator.
 //!
 //! ```text
-//! coalloc-exp <target> [--full]
-//!
-//! targets:
-//!   table1 table2 table3 ratios        the paper's tables and §4 ratios
-//!   fig1 fig2 fig3 fig4 fig5 fig6 fig7 the paper's figures (data series)
-//!   all                                everything, in paper order
+//! coalloc-exp <target> [--full] [--save <dir>]
+//! coalloc-exp list        every target, one line each
+//! coalloc-exp all         every table and figure, in paper order
+//! ```
 //!
 //! --full runs paper-scale simulations (tens of CPU-minutes); the
 //! default quick scale reproduces every qualitative shape in ~a minute.
-//! ```
+//! One table, [`TARGETS`], names every target: the usage line, `list`,
+//! dispatch and `all` all read it.
 //!
 //! Argument errors never panic: every parser returns a
 //! [`CoallocError`], every configuration is validated before it runs,
@@ -19,40 +18,51 @@
 //! (status 1 is reserved for failed contract checks such as `--audit`
 //! and `--assert-precision`).
 
+use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 use coalloc::core::CoallocError;
 use coalloc::experiments::{self, Scale};
 
+/// The options of the subcommands that take more than `--full`.
+const COMMAND_OPTIONS: &str = "\
+runjson <GS|LS|LP|SC|GB> <limit> <utilization>
+        [--events <path>] [--audit] [--warmup auto|N]
+        [--capacities a,b,c] [--faults <spec>]
+        [--interrupt front|back|abort]
+        [--disposition rigid|moldable|malleable]
+        [--queue-discipline fcfs|easy|conservative]
+        [--estimate-factor X] [--network <net>]   (JSON SimOutcome)
+sweep <GS|LS|LP|SC|GB> <limit> [--utils a,b,c] [--rel-ci X]
+      [--min-reps N] [--max-reps N] [--warmup auto|N]
+      [--checkpoint <path>] [--assert-precision] [--audit]
+      [--capacities a,b,c] [--faults <spec>]
+      [--interrupt front|back|abort] [--inject-panic U]
+      [--disposition rigid|moldable|malleable]
+      [--queue-discipline fcfs|easy|conservative]
+      [--estimate-factor X] [--network <net>]
+      [--store <dir>] [--cache-cap N]
+      [--json]   (adaptive sweep; stats table or JSON points)
+serve [--threads N] [--full] [--store <dir>] [--cache-cap N]
+      (JSONL request daemon on stdin/stdout; --store makes
+       results crash-safe across restarts)
+fault specs: exp:MTTF:MTTR or down:T:K[:R],up:T:K,...
+network specs: <bandwidth>[:backbone|:pairwise] (concurrent-flow units; `inf` = uncontended)";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: coalloc-exp <target> [--full] [--save <dir>]\n\
-         targets: table1 table2 table3 ratios fig1..fig7 packing\n\
-         \x20        reqtypes placement backfill dispositions extfactor\n\
-         \x20        burstiness network plot all\n\
-         \x20        runjson <GS|LS|LP|SC|GB> <limit> <utilization>\n\
-         \x20                [--events <path>] [--audit] [--warmup auto|N]\n\
-         \x20                [--capacities a,b,c] [--faults <spec>]\n\
-         \x20                [--interrupt front|back|abort]\n\
-         \x20                [--disposition rigid|moldable|malleable]\n\
-         \x20                [--queue-discipline fcfs|easy|conservative]\n\
-         \x20                [--estimate-factor X] [--network <net>]   (JSON SimOutcome)\n\
-         \x20        sweep <GS|LS|LP|SC|GB> <limit> [--utils a,b,c] [--rel-ci X]\n\
-         \x20              [--min-reps N] [--max-reps N] [--warmup auto|N]\n\
-         \x20              [--checkpoint <path>] [--assert-precision] [--audit]\n\
-         \x20              [--capacities a,b,c] [--faults <spec>]\n\
-         \x20              [--interrupt front|back|abort] [--inject-panic U]\n\
-         \x20              [--disposition rigid|moldable|malleable]\n\
-         \x20              [--queue-discipline fcfs|easy|conservative]\n\
-         \x20              [--estimate-factor X] [--network <net>]\n\
-         \x20              [--store <dir>] [--cache-cap N]\n\
-         \x20              [--json]   (adaptive sweep; stats table or JSON points)\n\
-         \x20        serve [--threads N] [--full] [--store <dir>] [--cache-cap N]\n\
-         \x20              (JSONL request daemon on stdin/stdout; --store makes\n\
-         \x20               results crash-safe across restarts)\n\
-         fault specs: exp:MTTF:MTTR or down:T:K[:R],up:T:K,...\n\
-         network specs: <bandwidth>[:backbone|:pairwise] (concurrent-flow units; `inf` = uncontended)"
-    );
+    let mut names = String::from("targets:");
+    let mut width = names.len();
+    for t in TARGETS {
+        if width + 1 + t.name.len() > 72 {
+            names.push_str("\n        ");
+            width = 8;
+        }
+        names.push(' ');
+        names.push_str(t.name);
+        width += 1 + t.name.len();
+    }
+    eprintln!("usage: coalloc-exp <target> [--full] [--save <dir>]\n{names}\n{COMMAND_OPTIONS}");
     ExitCode::from(2)
 }
 
@@ -158,7 +168,7 @@ fn serve_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
 /// demonstrate panic isolation (the point shows up in the `fail`
 /// column, the process still exits 0).
 fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
-    use coalloc::core::experiment::sweep;
+    use coalloc::core::experiment::{sweep_on, ResultStore, ScenarioCache, WorkerPool};
     use coalloc::core::report;
     let spec = scenario_spec(args, scale)?;
     let mut cfg = scale.sweep();
@@ -184,24 +194,21 @@ fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
     cfg.checkpoint = flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from);
     cfg.audit = args.iter().any(|a| a == "--audit");
     cfg.validate()?;
-    let store_dir = flag_value(args, "--store")?.map(std::path::PathBuf::from);
+    // A cache only with `--store` (the crash-safe result store behind
+    // it lets a re-run, or a serve daemon on the same directory,
+    // rehydrate finished replications) or `--cache-cap`.
     let cache_cap: Option<usize> = parse_flag(args, "--cache-cap", "an entry count")?;
-    let points = if store_dir.is_some() || cache_cap.is_some() {
-        // Durable sweep: run through a scenario cache backed by the
-        // crash-safe result store, so a re-run (or a later serve
-        // daemon pointed at the same directory) rehydrates finished
-        // replications instead of re-executing them.
-        use coalloc::core::experiment::{ResultStore, ScenarioCache, WorkerPool};
-        let disk = match &store_dir {
-            Some(dir) => Some(ResultStore::open(dir).map_err(|e| {
-                CoallocError::io(format!("opening result store {}", dir.display()), e)
-            })?),
-            None => None,
-        };
-        let pool = WorkerPool::new(0);
-        let cache = ScenarioCache::with(disk, cache_cap);
-        let (points, stats) =
-            coalloc::core::experiment::sweep_on(&pool, Some(&cache), spec.make_cfg(), &cfg, |_| {});
+    let disk = flag_value(args, "--store")?
+        .map(|dir| {
+            ResultStore::open(dir)
+                .map_err(|e| CoallocError::io(format!("opening result store {dir}"), e))
+        })
+        .transpose()?;
+    let cache =
+        (disk.is_some() || cache_cap.is_some()).then(|| ScenarioCache::with(disk, cache_cap));
+    let pool = WorkerPool::new(cfg.threads);
+    let (points, stats) = sweep_on(&pool, cache.as_ref(), spec.make_cfg(), &cfg, |_| {});
+    if let Some(cache) = &cache {
         eprintln!(
             "sweep: {} replications executed, {} cache hits ({} rehydrated from disk)",
             stats.executed, stats.cache_hits, stats.disk_hits
@@ -213,10 +220,7 @@ fn sweep_cmd(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
                 }
             }
         }
-        points
-    } else {
-        sweep(spec.make_cfg(), &cfg)
-    };
+    }
     if args.iter().any(|a| a == "--json") {
         // The exact bytes `serve` embeds in its result events — clients
         // can diff the two representations with `cmp`.
@@ -320,189 +324,177 @@ fn runjson(args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Renders a section's text at a scale.
+type Render = fn(Scale) -> String;
+
+/// What naming a target does.
+#[derive(Clone, Copy)]
+enum Action {
+    /// Prints a section of the evaluation under its heading; `all`
+    /// prints every section, in table order.
+    Section(&'static str, Render),
+    /// Prints a section that `all` leaves out: it redraws data a section
+    /// already prints.
+    Redraw(&'static str, Render),
+    /// Runs a subcommand on the arguments after the target's name.
+    Command(fn(&[String], Scale) -> Result<ExitCode, CoallocError>),
+    /// Prints every section.
+    All,
+    /// Prints every target but itself, with what it does.
+    List,
+}
+
+/// A command-line target: its name, what `list` says it does, and what
+/// naming it does.
+struct Target {
+    name: &'static str,
+    what: &'static str,
+    action: Action,
+}
+
+impl Target {
+    const fn new(name: &'static str, action: Action) -> Self {
+        Target { name, what: "", action }
+    }
+
+    const fn about(self, what: &'static str) -> Self {
+        Target { what, ..self }
+    }
+}
+
+use Action::{Command, Redraw, Section};
+
+/// Every target, sections in the order `all` prints them.
+const TARGETS: &[Target] = &[
+    Target::new("table1", Section("Table 1", |_| experiments::table1()))
+        .about("fractions of jobs with power-of-two sizes (paper Table 1)"),
+    Target::new("fig1", Section("Figure 1", |_| experiments::fig1()))
+        .about("density of job-request sizes (paper Fig 1)"),
+    Target::new("fig2", Section("Figure 2", |_| experiments::fig2()))
+        .about("density of service times (paper Fig 2)"),
+    Target::new("table2", Section("Table 2", |_| experiments::table2()))
+        .about("component-count fractions per limit (paper Table 2)"),
+    Target::new("fig3", Section("Figure 3", experiments::fig3))
+        .about("response vs gross utilization, 6 panels (paper Fig 3)"),
+    Target::new("fig4", Section("Figure 4", experiments::fig4))
+        .about("per-queue responses near LP saturation (paper Fig 4)"),
+    Target::new("fig5", Section("Figure 5", experiments::fig5))
+        .about("DAS-s-64 vs DAS-s-128 (paper Fig 5)"),
+    Target::new("fig6", Section("Figure 6", experiments::fig6))
+        .about("per-policy limit comparison (paper Fig 6)"),
+    Target::new("fig7", Section("Figure 7", experiments::fig7))
+        .about("gross vs net utilization curves (paper Fig 7)"),
+    Target::new("table3", Section("Table 3", experiments::table3))
+        .about("maximal utilizations, GS + SC (paper Table 3)"),
+    Target::new("ratios", Section("Gross/net ratios (§4)", |_| experiments::ratios()))
+        .about("closed-form gross/net ratios (paper section 4)"),
+    Target::new("table3x", Section("Table 3 (extended)", experiments::table3_extended))
+        .about("maximal utilizations for every policy (extension)"),
+    Target::new("packing", Section("Packing analysis (§3.3)", |_| experiments::packing()))
+        .about("mechanized section 3.3 packing analysis"),
+    Target::new("scorecard", Section("Conclusions scorecard", experiments::scorecard))
+        .about("all headline claims re-evaluated, PASS/FAIL"),
+    Target::new("reqtypes", Section("Extension: request structures", experiments::request_types))
+        .about("ordered vs unordered vs flexible requests (extension)"),
+    Target::new("placement", Section("Ablation: placement rules", experiments::placement_rules))
+        .about("Worst/Best/First Fit ablation"),
+    Target::new("backfill", Section("Extension: backfilling", experiments::backfilling))
+        .about("GS vs GB (aggressive backfilling) vs LS (extension)"),
+    Target::new("dispositions", Section("Extension: job dispositions", experiments::dispositions))
+        .about("rigid vs moldable vs malleable jobs per policy (extension)"),
+    Target::new(
+        "extfactor",
+        Section("Extension: extension-factor sensitivity", experiments::extension_sensitivity),
+    )
+    .about("extension-factor sensitivity (viability conclusion)"),
+    Target::new("burstiness", Section("Extension: arrival burstiness", experiments::burstiness))
+        .about("arrival-burstiness sensitivity (extension)"),
+    Target::new(
+        "network",
+        Section("Extension: bandwidth-sharing network", experiments::network_load),
+    )
+    .about("bandwidth-sharing wide-area network (extension)"),
+    Target::new(
+        "correlation",
+        Section("Extension: size-service correlation", experiments::correlation),
+    )
+    .about("size-service correlation sensitivity (extension)"),
+    Target::new("das2", Section("Extension: the real DAS2 geometry", experiments::das2))
+        .about("the real 72+4x32 DAS2 geometry (extension)"),
+    Target::new("plot", Redraw("Terminal plot (Fig 3, limit 16)", experiments::terminal_plot))
+        .about("ASCII terminal plot of the headline panel"),
+    Target::new("runjson", Command(runjson)).about("one simulation, full JSON outcome"),
+    Target::new("sweep", Command(sweep_cmd))
+        .about("adaptive-replication sweep with per-point CI stats"),
+    Target::new("serve", Command(serve_cmd))
+        .about("JSONL sweep/saturation daemon with a shared scenario cache"),
+    Target::new("list", Action::List),
+    Target::new("all", Action::All).about("everything above, in paper order"),
+];
+
+/// Prints a section under its heading and, with a save directory,
+/// writes its text to `<dir>/<slug>.txt`. Stdout write errors are
+/// ignored so `coalloc-exp ... | head` exits quietly instead of
+/// panicking on the closed pipe.
+fn emit(heading: &str, text: &str, save_dir: Option<&Path>) -> Result<(), CoallocError> {
+    let rule = "=============================================================";
+    let _ = writeln!(std::io::stdout(), "{rule}\n== {heading}\n{rule}\n{text}");
+    if let Some(dir) = save_dir {
+        let slug: String = heading
+            .to_lowercase()
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+            .collect();
+        let file = dir.join(format!("{slug}.txt"));
+        std::fs::write(&file, text)
+            .map_err(|e| CoallocError::io(format!("writing {}", file.display()), e))?;
+    }
+    Ok(())
+}
+
+/// Runs one target with the arguments after its name.
+fn run(target: &Target, args: &[String], scale: Scale) -> Result<ExitCode, CoallocError> {
+    let sections: Vec<(&str, Render)> = match target.action {
+        Command(run) => return run(args, scale),
+        Action::List => {
+            // The listing leaves itself out.
+            for t in TARGETS.iter().filter(|t| !matches!(t.action, Action::List)) {
+                if writeln!(std::io::stdout(), "{:<12} {}", t.name, t.what).is_err() {
+                    break; // reader (e.g. `| head`) closed the pipe
+                }
+            }
+            return Ok(ExitCode::SUCCESS);
+        }
+        Section(heading, render) | Redraw(heading, render) => vec![(heading, render)],
+        Action::All => TARGETS
+            .iter()
+            .filter_map(|t| match t.action {
+                Section(heading, render) => Some((heading, render)),
+                _ => None,
+            })
+            .collect(),
+    };
+    let save_dir = flag_value(args, "--save")?.map(std::path::PathBuf::from);
+    if let Some(dir) = &save_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| CoallocError::io(format!("creating {}", dir.display()), e))?;
+    }
+    for (heading, render) in sections {
+        emit(heading, &render(scale), save_dir.as_deref())?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(name) = args.first() else {
         return usage();
-    }
+    };
     let scale = if args.iter().any(|a| a == "--full") { Scale::Full } else { Scale::Quick };
-    let save_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--save")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if let Some(dir) = &save_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail(CoallocError::io(format!("creating {}", dir.display()), e));
+    match TARGETS.iter().find(|t| t.name == name) {
+        Some(target) => run(target, &args[1..], scale).unwrap_or_else(fail),
+        None => {
+            fail(CoallocError::UnknownTarget { name: name.to_string(), what: "target".to_string() })
         }
     }
-    let target = args.first().map(String::as_str).unwrap_or("");
-    if target == "runjson" {
-        return runjson(&args[1..], scale).unwrap_or_else(fail);
-    }
-    if target == "sweep" {
-        return sweep_cmd(&args[1..], scale).unwrap_or_else(fail);
-    }
-    if target == "serve" {
-        return serve_cmd(&args[1..], scale).unwrap_or_else(fail);
-    }
-    if target == "list" {
-        for (name, what) in [
-            ("table1", "fractions of jobs with power-of-two sizes (paper Table 1)"),
-            ("fig1", "density of job-request sizes (paper Fig 1)"),
-            ("fig2", "density of service times (paper Fig 2)"),
-            ("table2", "component-count fractions per limit (paper Table 2)"),
-            ("fig3", "response vs gross utilization, 6 panels (paper Fig 3)"),
-            ("fig4", "per-queue responses near LP saturation (paper Fig 4)"),
-            ("fig5", "DAS-s-64 vs DAS-s-128 (paper Fig 5)"),
-            ("fig6", "per-policy limit comparison (paper Fig 6)"),
-            ("fig7", "gross vs net utilization curves (paper Fig 7)"),
-            ("table3", "maximal utilizations, GS + SC (paper Table 3)"),
-            ("ratios", "closed-form gross/net ratios (paper section 4)"),
-            ("table3x", "maximal utilizations for every policy (extension)"),
-            ("packing", "mechanized section 3.3 packing analysis"),
-            ("scorecard", "all headline claims re-evaluated, PASS/FAIL"),
-            ("reqtypes", "ordered vs unordered vs flexible requests (extension)"),
-            ("placement", "Worst/Best/First Fit ablation"),
-            ("backfill", "GS vs GB (aggressive backfilling) vs LS (extension)"),
-            ("dispositions", "rigid vs moldable vs malleable jobs per policy (extension)"),
-            ("extfactor", "extension-factor sensitivity (viability conclusion)"),
-            ("burstiness", "arrival-burstiness sensitivity (extension)"),
-            ("network", "bandwidth-sharing wide-area network (extension)"),
-            ("correlation", "size-service correlation sensitivity (extension)"),
-            ("das2", "the real 72+4x32 DAS2 geometry (extension)"),
-            ("plot", "ASCII terminal plot of the headline panel"),
-            ("runjson", "one simulation, full JSON outcome"),
-            ("sweep", "adaptive-replication sweep with per-point CI stats"),
-            ("serve", "JSONL sweep/saturation daemon with a shared scenario cache"),
-            ("all", "everything above, in paper order"),
-        ] {
-            use std::io::Write;
-            if writeln!(std::io::stdout(), "{name:<12} {what}").is_err() {
-                break; // reader (e.g. `| head`) closed the pipe
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    let known = [
-        "table1",
-        "table2",
-        "table3",
-        "ratios",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "reqtypes",
-        "placement",
-        "backfill",
-        "dispositions",
-        "extfactor",
-        "burstiness",
-        "network",
-        "correlation",
-        "das2",
-        "packing",
-        "table3x",
-        "scorecard",
-        "plot",
-        "list",
-        "all",
-        "runjson",
-    ];
-    if !known.contains(&target) {
-        return fail(CoallocError::UnknownTarget {
-            name: target.to_string(),
-            what: "target".to_string(),
-        });
-    }
-
-    // Write with errors ignored so `coalloc-exp ... | head` exits
-    // quietly instead of panicking on the closed pipe.
-    let emit = |name: &str, text: String| {
-        use std::io::Write;
-        let mut out = std::io::stdout();
-        let _ = writeln!(out, "=============================================================");
-        let _ = writeln!(out, "== {name}");
-        let _ = writeln!(out, "=============================================================");
-        let _ = writeln!(out, "{text}");
-        if let Some(dir) = &save_dir {
-            let slug: String = name
-                .to_lowercase()
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            let file = dir.join(format!("{slug}.txt"));
-            std::fs::write(&file, &text).expect("can write the result file");
-        }
-    };
-
-    let run_one = |name: &str| match name {
-        "table1" => emit("Table 1", experiments::table1()),
-        "table2" => emit("Table 2", experiments::table2()),
-        "table3" => emit("Table 3", experiments::table3(scale)),
-        "table3x" => emit("Table 3 (extended)", experiments::table3_extended(scale)),
-        "ratios" => emit("Gross/net ratios (§4)", experiments::ratios()),
-        "packing" => emit("Packing analysis (§3.3)", experiments::packing()),
-        "scorecard" => emit("Conclusions scorecard", experiments::scorecard(scale)),
-        "fig1" => emit("Figure 1", experiments::fig1()),
-        "fig2" => emit("Figure 2", experiments::fig2()),
-        "fig3" => emit("Figure 3", experiments::fig3(scale)),
-        "fig4" => emit("Figure 4", experiments::fig4(scale)),
-        "fig5" => emit("Figure 5", experiments::fig5(scale)),
-        "fig6" => emit("Figure 6", experiments::fig6(scale)),
-        "fig7" => emit("Figure 7", experiments::fig7(scale)),
-        "reqtypes" => emit("Extension: request structures", experiments::request_types(scale)),
-        "placement" => emit("Ablation: placement rules", experiments::placement_rules(scale)),
-        "plot" => emit("Terminal plot (Fig 3, limit 16)", experiments::terminal_plot(scale)),
-        "backfill" => emit("Extension: backfilling", experiments::backfilling(scale)),
-        "dispositions" => emit("Extension: job dispositions", experiments::dispositions(scale)),
-        "burstiness" => emit("Extension: arrival burstiness", experiments::burstiness(scale)),
-        "network" => emit("Extension: bandwidth-sharing network", experiments::network_load(scale)),
-        "correlation" => {
-            emit("Extension: size-service correlation", experiments::correlation(scale))
-        }
-        "das2" => emit("Extension: the real DAS2 geometry", experiments::das2(scale)),
-        "extfactor" => emit(
-            "Extension: extension-factor sensitivity",
-            experiments::extension_sensitivity(scale),
-        ),
-        _ => unreachable!("validated above"),
-    };
-
-    if target == "all" {
-        for name in [
-            "table1",
-            "fig1",
-            "fig2",
-            "table2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "table3",
-            "ratios",
-            "table3x",
-            "packing",
-            "scorecard",
-            "reqtypes",
-            "placement",
-            "backfill",
-            "dispositions",
-            "extfactor",
-            "burstiness",
-            "network",
-            "correlation",
-            "das2",
-        ] {
-            run_one(name);
-        }
-    } else {
-        run_one(target);
-    }
-    ExitCode::SUCCESS
 }

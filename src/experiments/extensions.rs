@@ -9,12 +9,11 @@
 //! * [`placement_rules`] — Worst Fit (the paper's rule) against Best Fit
 //!   and First Fit, the ablation DESIGN.md calls out.
 
-use coalloc_core::experiment::sweep;
 use coalloc_core::report::{format_figure, format_table, utilization_at_response, Series};
 use coalloc_core::{PlacementRule, PolicyKind, SimConfig, SystemSpec};
 use coalloc_workload::RequestKind;
 
-use super::{scaled, Scale};
+use super::{scaled, sweep, Scale};
 
 /// Response-time curves for GS under ordered / unordered / flexible
 /// requests (limit 16, balanced arrival of requests to the one queue).

@@ -1,12 +1,12 @@
 //! The paper's figures, regenerated as gnuplot-style data series.
 
-use coalloc_core::experiment::{sweep, SweepPoint};
+use coalloc_core::experiment::SweepPoint;
 use coalloc_core::report::{ascii_plot, format_figure, format_table, Series};
 use coalloc_core::{PolicyKind, SimConfig};
 use coalloc_trace::{generate_das1_log, DasLogConfig};
 use coalloc_workload::Workload;
 
-use super::{scaled, Scale};
+use super::{scaled, sweep, Scale};
 
 /// Builds the configuration family for a multicluster policy sweep.
 fn das_family(
@@ -41,33 +41,20 @@ fn sc_family(cut64: bool, scale: Scale) -> impl Fn(f64) -> SimConfig {
     }
 }
 
-fn sweep_policy(
+/// One policy's response curve: SC on its one cluster, the others on
+/// the DAS multicluster under `limit` and the queue balance.
+pub(super) fn sweep_policy(
     policy: PolicyKind,
     limit: u32,
     balanced: bool,
     cut64: bool,
     scale: Scale,
 ) -> Vec<SweepPoint> {
-    // SC ignores limit/balance: normalize the cache key.
-    let (limit, balanced) = if policy == PolicyKind::Sc { (0, true) } else { (limit, balanced) };
-    super::cached_sweep(policy, limit, balanced, cut64, scale, || {
-        if policy == PolicyKind::Sc {
-            sweep(sc_family(cut64, scale), &scale.sweep())
-        } else {
-            sweep(das_family(policy, limit, balanced, cut64, scale), &scale.sweep())
-        }
-    })
-}
-
-/// Cached sweep accessor for the scorecard (same memo as the figures).
-pub(crate) fn sweep_for_scorecard(
-    policy: PolicyKind,
-    limit: u32,
-    balanced: bool,
-    cut64: bool,
-    scale: Scale,
-) -> Vec<SweepPoint> {
-    sweep_policy(policy, limit, balanced, cut64, scale)
+    if policy == PolicyKind::Sc {
+        sweep(sc_family(cut64, scale), &scale.sweep())
+    } else {
+        sweep(das_family(policy, limit, balanced, cut64, scale), &scale.sweep())
+    }
 }
 
 /// **Figure 1** — the density of job-request sizes of the (synthetic)

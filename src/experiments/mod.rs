@@ -3,6 +3,13 @@
 //! reports (tables as aligned rows, figures as gnuplot-style `x y`
 //! series). The `coalloc-exp` binary wraps these; EXPERIMENTS.md records
 //! paper-vs-measured for each.
+//!
+//! Every target runs on one process-wide engine: a [`WorkerPool`] and a
+//! [`ScenarioCache`] that live as long as the process. The paper's
+//! figures share most of their curves (Fig 3's panels reappear in Figs
+//! 5–7, and the scorecard re-reads them), and a replication is shared
+//! whenever two targets ask for equal configurations, whichever targets
+//! they are.
 
 pub mod extensions;
 pub mod figures;
@@ -17,13 +24,13 @@ pub use figures::{fig1, fig2, fig3, fig4, fig5, fig6, fig7, terminal_plot};
 pub use scorecard::scorecard;
 pub use tables::{packing, ratios, table1, table2, table3, table3_extended};
 
-use coalloc_core::experiment::{SweepConfig, SweepPoint};
-use coalloc_core::PolicyKind;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::OnceLock;
+
+use coalloc_core::experiment::{sweep_on, ScenarioCache, SweepConfig, SweepPoint, WorkerPool};
+use coalloc_core::SimConfig;
 
 /// How big the experiment runs are.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Small runs for tests and smoke checks (minutes of CPU overall).
     Quick,
@@ -104,41 +111,34 @@ impl Scale {
 }
 
 /// Applies this scale's run sizes to a simulation configuration.
-pub fn scaled(mut cfg: coalloc_core::SimConfig, scale: Scale) -> coalloc_core::SimConfig {
+pub fn scaled(mut cfg: SimConfig, scale: Scale) -> SimConfig {
     cfg.total_jobs = scale.total_jobs();
     cfg.warmup_jobs = scale.warmup_jobs();
     cfg.batch_size = (scale.total_jobs() / 40).max(50);
     cfg
 }
 
-/// A process-wide memo of policy sweeps: the paper's figures share most
-/// of their curves (Fig 3's panels reappear in Figs 6 and 7), so one
-/// harness invocation computes each (policy, limit, balanced, cut64,
-/// scale) sweep once.
-#[allow(clippy::type_complexity)]
-static SWEEP_CACHE: Mutex<Option<HashMap<(PolicyKind, u32, bool, bool, Scale), Vec<SweepPoint>>>> =
-    Mutex::new(None);
+/// The pool and cache every harness sweep and search runs on. It lives
+/// in a static, so it is never dropped: its workers idle between
+/// sweeps and end with the process.
+struct Engine {
+    pool: WorkerPool,
+    cache: ScenarioCache,
+}
 
-/// Memoized policy sweep used by the figure builders.
-pub(crate) fn cached_sweep(
-    policy: PolicyKind,
-    limit: u32,
-    balanced: bool,
-    cut64: bool,
-    scale: Scale,
-    compute: impl FnOnce() -> Vec<SweepPoint>,
-) -> Vec<SweepPoint> {
-    let key = (policy, limit, balanced, cut64, scale);
-    if let Some(hit) =
-        SWEEP_CACHE.lock().expect("cache lock").get_or_insert_with(HashMap::new).get(&key)
-    {
-        return hit.clone();
-    }
-    let pts = compute();
-    SWEEP_CACHE
-        .lock()
-        .expect("cache lock")
-        .get_or_insert_with(HashMap::new)
-        .insert(key, pts.clone());
-    pts
+fn engine() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(|| Engine { pool: WorkerPool::new(0), cache: ScenarioCache::new() })
+}
+
+/// The process-wide worker pool (one worker per core).
+pub(crate) fn pool() -> &'static WorkerPool {
+    &engine().pool
+}
+
+/// Runs an adaptive sweep on the process-wide pool, answering every
+/// replication an earlier sweep already ran from the process-wide cache.
+pub(crate) fn sweep(make_cfg: impl Fn(f64) -> SimConfig, cfg: &SweepConfig) -> Vec<SweepPoint> {
+    let engine = engine();
+    sweep_on(&engine.pool, Some(&engine.cache), make_cfg, cfg, |_| {}).0
 }

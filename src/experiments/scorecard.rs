@@ -27,7 +27,7 @@ fn takeoff(
     cut64: bool,
     scale: Scale,
 ) -> Option<f64> {
-    let pts = super::figures::sweep_for_scorecard(policy, limit, balanced, cut64, scale);
+    let pts = super::figures::sweep_policy(policy, limit, balanced, cut64, scale);
     let series = Series::response_vs_gross("x", &pts);
     utilization_at_response(&series, 1_000.0).or_else(|| series.points.last().map(|&(x, _)| x))
 }

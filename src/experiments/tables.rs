@@ -104,11 +104,10 @@ pub fn ratios() -> String {
 /// **Table 3, extended** — maximal utilization of *every* policy per
 /// limit: GS and SC by the paper's constant-backlog method, LS and LP by
 /// open-system bisection (the constant-backlog method is only valid for
-/// a single global queue). The six searches share one worker pool and
-/// probe each utilization with a single replication.
+/// a single global queue). The six searches run on the harness's worker
+/// pool and probe each utilization with a single replication.
 pub fn table3_extended(scale: Scale) -> String {
-    use coalloc_core::{PolicyKind, SimConfig, WorkerPool};
-    let pool = WorkerPool::new(0);
+    use coalloc_core::{PolicyKind, SimConfig};
     let plan = ProbePlan { replications: 1 };
     let mut rows = Vec::new();
     for limit in [16u32, 24, 32] {
@@ -119,7 +118,7 @@ pub fn table3_extended(scale: Scale) -> String {
                 cfg.warmup_jobs = scale.warmup_jobs() / 2;
                 cfg
             };
-            let max = bisect_max_utilization(&pool, make_cfg, 0.2, 1.0, 0.02, &plan, None)
+            let max = bisect_max_utilization(super::pool(), make_cfg, 0.2, 1.0, 0.02, &plan, None)
                 .unwrap_or_else(|e| panic!("{} limit {limit}: {e:?}", policy.label()));
             let net = max / coalloc_workload::Workload::das(limit).gross_net_ratio();
             rows.push(vec![

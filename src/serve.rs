@@ -220,13 +220,6 @@ pub struct ServeOptions {
     pub cache_cap: Option<usize>,
 }
 
-impl ServeOptions {
-    /// Memory-only options, matching the historical `serve` behavior.
-    pub fn new(threads: usize, default_scale: Scale) -> Self {
-        ServeOptions { threads, default_scale, store: None, cache_cap: None }
-    }
-}
-
 /// What a serve session did, for the operator log.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeSummary {
@@ -431,19 +424,6 @@ fn registry_lock(
     tokens: &TokenRegistry,
 ) -> std::sync::MutexGuard<'_, HashMap<String, CancelToken>> {
     tokens.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs the serve loop with the historical memory-only configuration:
-/// JSONL requests from `input`, JSONL events to `output`, all requests
-/// sharing one worker pool of `threads` workers (0 = one per core) and
-/// one scenario cache. See [`serve_with`] for the durable variant.
-pub fn serve<R: BufRead, W: Write + Send + 'static>(
-    input: R,
-    output: W,
-    threads: usize,
-    default_scale: Scale,
-) -> std::io::Result<ServeSummary> {
-    serve_with(input, output, &ServeOptions::new(threads, default_scale))
 }
 
 /// Runs the serve loop. Returns when `input` reaches EOF or a
@@ -658,7 +638,9 @@ mod tests {
     }
 
     fn run_lines(lines: &str) -> (Vec<serde::value::Value>, ServeSummary) {
-        run_opts(lines, &ServeOptions::new(2, Scale::Quick))
+        let opts =
+            ServeOptions { threads: 2, default_scale: Scale::Quick, store: None, cache_cap: None };
+        run_opts(lines, &opts)
     }
 
     fn field<'a>(ev: &'a serde::value::Value, name: &str) -> &'a serde::value::Value {

@@ -34,7 +34,12 @@ fn text(bytes: &[u8]) -> String {
 
 #[test]
 fn argument_and_scenario_errors_exit_2_without_panicking() {
-    for args in [
+    // A `--save` directory where the result file cannot be written: its
+    // name is taken by a directory.
+    let save = std::env::temp_dir().join(format!("coalloc-cli-save-{}", std::process::id()));
+    std::fs::create_dir_all(save.join("table_1.txt")).expect("temporary save directory");
+    let unwritable = vec!["table1", "--save", save.to_str().expect("UTF-8 temp path")];
+    let cases = [
         "sweep GS 16 --utils 0.3 --min-reps 0",
         "sweep GS 16 --utils 0.3 --min-reps 3 --max-reps 1",
         "sweep GS 16 --utils 0.3 --rel-ci 0",
@@ -49,13 +54,16 @@ fn argument_and_scenario_errors_exit_2_without_panicking() {
         // Valid flags, but no replication of either scenario can run.
         "sweep LS 16 --utils 0.3 --capacities 8,8",
         "sweep GS 16 --utils 0.3 --warmup 8000",
-    ] {
-        let out = run_exp(&args.split(' ').collect::<Vec<_>>(), "");
-        let stderr = text(&out.stderr);
+        "table1 --save",
+    ];
+    for args in cases.iter().map(|a| a.split(' ').collect()).chain([unwritable]) {
+        let out = run_exp(&args, "");
+        let (args, stderr) = (args.join(" "), text(&out.stderr));
         assert_eq!(out.status.code(), Some(2), "`{args}` exits 2:\n{stderr}");
         assert!(stderr.lines().any(|l| l.starts_with("error: ")), "`{args}`:\n{stderr}");
         assert!(!stderr.contains("panicked"), "`{args}` panicked:\n{stderr}");
     }
+    let _ = std::fs::remove_dir_all(&save);
 }
 
 #[test]
