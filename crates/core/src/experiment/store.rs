@@ -51,7 +51,9 @@
 //!
 //! [`open`](ResultStore::open) verifies every frame's length bound and
 //! checksum and indexes the key from the frame header; it decodes no
-//! payload. Recovery is sequential per segment and **drops only the
+//! payload, and it reads one frame at a time through a buffer, so
+//! opening a store takes memory for its largest frame, not for its
+//! size. Recovery is sequential per segment and **drops only the
 //! damaged suffix**: a truncated tail (the process was SIGKILLed
 //! mid-append) or a bit-flipped length, checksum, key or payload byte
 //! stops the scan of that segment with a warning on stderr — every
@@ -90,7 +92,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
-use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -856,45 +858,89 @@ fn scan_segment(
     index: &mut HashMap<Key, Loc>,
     recovery: &mut RecoveryReport,
 ) -> (Segment, bool) {
-    let mut bytes = Vec::new();
-    let read = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
-    let segment = match read {
-        Ok(f) => Segment { reader: Some(f), len: bytes.len() as u64, path: path.into() },
+    let opened = File::open(&path).and_then(|f| Ok((f.metadata()?.len(), f)));
+    let (len, file) = match opened {
+        Ok(opened) => opened,
         Err(e) => {
             eprintln!("warning: cannot read store segment {} ({e}); skipping", path.display());
             return (Segment { path: path.into(), reader: None, len: 0 }, false);
         }
     };
-    if bytes.is_empty() {
-        // A segment created but never written (or truncated to nothing):
-        // nothing to recover, nothing to warn about.
-        return (segment, true);
-    }
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        eprintln!(
-            "warning: store segment {} has no valid header; ignoring the file",
-            segment.path.display()
-        );
-        return (segment, false);
-    }
-    let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        let Some((key, frame_len)) = check_frame(&bytes[offset..]) else {
-            eprintln!(
-                "warning: store segment {} damaged at byte {offset}; \
-                 dropping the suffix ({} records recovered so far)",
-                segment.path.display(),
-                index.len()
-            );
-            return (segment, false);
-        };
-        let loc = Loc { seg, offset: offset as u64, len: (frame_len - FRAME_HEADER) as u32 };
-        if index.insert(key, loc).is_some() {
+    let end = scan_frames(&file, len, |key, offset, payload_len| {
+        if index.insert(key, Loc { seg, offset, len: payload_len }).is_some() {
             recovery.superseded += 1;
         }
-        offset += frame_len;
+    });
+    let segment = Segment { path: path.into(), reader: Some(file), len };
+    match end {
+        ScanEnd::Intact => return (segment, true),
+        ScanEnd::NoHeader => eprintln!(
+            "warning: store segment {} has no valid header; ignoring the file",
+            segment.path.display()
+        ),
+        ScanEnd::DamagedAt(offset) => eprintln!(
+            "warning: store segment {} damaged at byte {offset}; \
+             dropping the suffix ({} records recovered so far)",
+            segment.path.display(),
+            index.len()
+        ),
     }
-    (segment, true)
+    (segment, false)
+}
+
+/// Where the scan of one segment stopped.
+#[derive(Debug, PartialEq, Eq)]
+enum ScanEnd {
+    /// Every frame was valid (or the file is empty: a segment created
+    /// but never written holds nothing to recover).
+    Intact,
+    /// The file does not start with the current magic.
+    NoHeader,
+    /// The frame at this byte offset is truncated or fails its length
+    /// bound or checksum; the frames before it were kept.
+    DamagedAt(u64),
+}
+
+/// Verifies the frames in the first `len` bytes of `file` in order,
+/// handing each valid frame's key, offset and payload length to
+/// `each`. It reads through a buffer, one frame in memory at a time,
+/// so opening a store needs memory for its largest frame, not for its
+/// bytes.
+fn scan_frames(file: &File, len: u64, mut each: impl FnMut(Key, u64, u32)) -> ScanEnd {
+    if len == 0 {
+        return ScanEnd::Intact;
+    }
+    let mut reader = BufReader::new(Read::take(file, len));
+    let mut magic = [0u8; MAGIC.len()];
+    if reader.read_exact(&mut magic).is_err() || &magic != MAGIC {
+        return ScanEnd::NoHeader;
+    }
+    let mut frame = Vec::new();
+    let mut offset = MAGIC.len() as u64;
+    while offset < len {
+        let Some((key, frame_len)) = next_frame(&mut reader, len - offset, &mut frame) else {
+            return ScanEnd::DamagedAt(offset);
+        };
+        each(key, offset, (frame_len - FRAME_HEADER) as u32);
+        offset += frame_len as u64;
+    }
+    ScanEnd::Intact
+}
+
+/// Reads the frame at the reader's position into `frame` and checks it
+/// ([`check_frame`]). `left` is how many bytes the scan has left, so a
+/// length word that points past them is damage, found before its
+/// payload is read or allocated.
+fn next_frame(reader: &mut impl Read, left: u64, frame: &mut Vec<u8>) -> Option<(Key, usize)> {
+    frame.resize(FRAME_HEADER, 0);
+    reader.read_exact(frame).ok()?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD || (FRAME_HEADER as u64 + u64::from(len)) > left {
+        return None;
+    }
+    frame.resize(FRAME_HEADER + len as usize, 0);
+    reader.read_exact(&mut frame[FRAME_HEADER..]).ok()?;
+    check_frame(frame)
 }
 
 #[cfg(test)]
@@ -1050,6 +1096,38 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_length_past_the_end_of_the_file_is_damage_at_its_frame() {
+        // The third frame's length word claims 1 MB — within the frame
+        // bound, but more bytes than the file holds.
+        let dir = temp_store_dir("long-length");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let frames: Vec<Vec<u8>> =
+            (0..4).map(|rep| record_frame((1, 2, rep), (1, 2, rep), &format!("r{rep}"))).collect();
+        let third = (MAGIC.len() + frames[0].len() + frames[1].len()) as u64;
+        let mut bytes = segment_of(&frames);
+        let at = third as usize;
+        bytes[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        assert!(1_000_000 <= MAX_PAYLOAD && 1_000_000 > bytes.len());
+        let seg = dir.join("store-000000.seg");
+        std::fs::write(&seg, &bytes).expect("segment");
+
+        let file = File::open(&seg).expect("segment opens");
+        let mut offsets = Vec::new();
+        let end = scan_frames(&file, bytes.len() as u64, |_, offset, _| offsets.push(offset));
+        assert_eq!(end, ScanEnd::DamagedAt(third));
+        assert_eq!(offsets, [MAGIC.len() as u64, (MAGIC.len() + frames[0].len()) as u64]);
+
+        let store = ResultStore::open(&dir).expect("recovery never fails");
+        assert_eq!(store.len(), 2, "the frames before the damage are kept");
+        assert_eq!(store.recovery().damaged_segments, 1);
+        for rep in 0..2 {
+            assert_eq!(stored_err(&store, 1, 2, rep), Some(format!("r{rep}")));
+        }
+        assert!(store.get(1, 2, 2).is_none() && store.get(1, 2, 3).is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! In-flight job state.
 
+use std::collections::VecDeque;
+
 use coalloc_workload::JobSpec;
 use desim::{Duration, SimTime};
 
@@ -176,48 +178,77 @@ impl ActiveJob {
     }
 }
 
-/// The table of all jobs seen by one simulation run, indexed by [`JobId`].
+/// The jobs of one simulation run still in the system, indexed by
+/// [`JobId`].
+///
+/// A sliding window from the oldest job not yet [removed](Self::remove)
+/// to the newest one: ids stay arrival indices and keep counting, and
+/// removing the oldest live job drops every removed slot in front of
+/// the next one. Memory is therefore proportional to the arrivals since
+/// the oldest live job, not to all arrivals — a job that never starts
+/// pins the window, which then grows as an append-only table would.
 #[derive(Debug, Default)]
 pub struct JobTable {
-    jobs: Vec<ActiveJob>,
+    /// Slot `i` holds job `base + i`; `None` once removed.
+    jobs: VecDeque<Option<ActiveJob>>,
+    /// The id of the first slot.
+    base: u64,
 }
 
 impl JobTable {
     /// An empty table.
     pub fn new() -> Self {
-        JobTable { jobs: Vec::new() }
+        JobTable::default()
     }
 
-    /// An empty table with room for `cap` jobs.
-    pub fn with_capacity(cap: usize) -> Self {
-        JobTable { jobs: Vec::with_capacity(cap) }
-    }
-
-    /// Inserts a job, returning its id.
+    /// Inserts a job, returning its id: the number of jobs inserted
+    /// before it.
     pub fn insert(&mut self, job: ActiveJob) -> JobId {
-        let id = JobId(self.jobs.len() as u64);
-        self.jobs.push(job);
+        let id = JobId(self.base + self.jobs.len() as u64);
+        self.jobs.push_back(Some(job));
         id
     }
 
+    /// The window position of `id`, if it is not below the window.
+    fn index(&self, id: JobId) -> Option<usize> {
+        usize::try_from(id.0.checked_sub(self.base)?).ok()
+    }
+
     /// Immutable access.
+    ///
+    /// # Panics
+    /// Panics if the job was removed or never inserted.
     pub fn get(&self, id: JobId) -> &ActiveJob {
-        &self.jobs[id.0 as usize]
+        match self.index(id).and_then(|i| self.jobs.get(i)) {
+            Some(Some(job)) => job,
+            _ => missing(id),
+        }
     }
 
     /// Mutable access.
+    ///
+    /// # Panics
+    /// Panics if the job was removed or never inserted.
     pub fn get_mut(&mut self, id: JobId) -> &mut ActiveJob {
-        &mut self.jobs[id.0 as usize]
+        match self.index(id).and_then(|i| self.jobs.get_mut(i)) {
+            Some(Some(job)) => job,
+            _ => missing(id),
+        }
     }
 
-    /// Number of jobs ever inserted.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+    /// Removes a job that left the system and returns it; the window
+    /// then starts at the oldest job still present.
+    ///
+    /// # Panics
+    /// Panics if the job was removed already or never inserted.
+    pub fn remove(&mut self, id: JobId) -> ActiveJob {
+        let slot = self.index(id).and_then(|i| self.jobs.get_mut(i));
+        let job = slot.and_then(Option::take).unwrap_or_else(|| missing(id));
+        while let Some(None) = self.jobs.front() {
+            self.jobs.pop_front();
+            self.base += 1;
+        }
+        job
     }
 
     /// Marks a job started: records its placement and start time.
@@ -232,6 +263,11 @@ impl JobTable {
         job.placement = Some(placement);
         job.start = Some(now);
     }
+}
+
+#[cold]
+fn missing(id: JobId) -> ! {
+    panic!("job {} is not in the job table: it left the system or never arrived", id.0)
 }
 
 #[cfg(test)]
@@ -288,7 +324,80 @@ mod tests {
         t.mark_started(id, Placement::new(vec![(0, 4), (3, 4)]), SimTime::new(5.0));
         assert!(t.get(id).started());
         assert_eq!(t.get(id).start, Some(SimTime::new(5.0)));
-        assert_eq!(t.len(), 1);
+    }
+
+    /// A table of `n` jobs; job `i` has a base service of `10 + i` s.
+    fn table_of(n: u64) -> (JobTable, Vec<JobId>) {
+        let mut t = JobTable::new();
+        let ids = (0..n)
+            .map(|i| {
+                let s = spec(vec![4], 10.0 + i as f64);
+                t.insert(ActiveJob::new(s, SimTime::ZERO, SubmitQueue::Global))
+            })
+            .collect();
+        (t, ids)
+    }
+
+    #[test]
+    fn removing_out_of_order_keeps_every_other_id_readable() {
+        let (mut t, ids) = table_of(6);
+        for &gone in &[ids[3], ids[0], ids[5]] {
+            assert_eq!(t.remove(gone).spec.base_service.seconds(), 10.0 + gone.0 as f64);
+        }
+        for &id in &[ids[1], ids[2], ids[4]] {
+            assert_eq!(t.get(id).spec.base_service.seconds(), 10.0 + id.0 as f64);
+            t.get_mut(id).start = Some(SimTime::new(1.0));
+            assert!(t.get(id).started());
+        }
+    }
+
+    #[test]
+    fn the_window_advances_only_past_a_removed_prefix() {
+        let (mut t, ids) = table_of(5);
+        t.remove(ids[1]);
+        t.remove(ids[2]);
+        assert_eq!((t.base, t.jobs.len()), (0, 5), "job 0 still pins the window");
+        t.remove(ids[0]);
+        assert_eq!((t.base, t.jobs.len()), (3, 2), "0–2 dropped, 3 is the oldest live job");
+        t.remove(ids[4]);
+        assert_eq!((t.base, t.jobs.len()), (3, 2));
+        t.remove(ids[3]);
+        assert_eq!((t.base, t.jobs.len()), (5, 0), "an empty table holds no slot");
+    }
+
+    #[test]
+    fn ids_keep_counting_after_removals() {
+        let (mut t, ids) = table_of(3);
+        for id in ids {
+            t.remove(id);
+        }
+        let next = t.insert(ActiveJob::new(spec(vec![4], 1.0), SimTime::ZERO, SubmitQueue::Global));
+        assert_eq!(next, JobId(3));
+        assert_eq!(t.get(next).spec.base_service.seconds(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 is not in the job table")]
+    fn reading_a_removed_id_panics() {
+        let (mut t, ids) = table_of(3);
+        t.remove(ids[1]);
+        t.get(ids[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 is not in the job table")]
+    fn reading_an_id_below_the_window_panics() {
+        let (mut t, ids) = table_of(2);
+        t.remove(ids[0]);
+        t.get(ids[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 is not in the job table")]
+    fn removing_twice_panics() {
+        let (mut t, ids) = table_of(4);
+        t.remove(ids[2]);
+        t.remove(ids[2]);
     }
 
     #[test]

@@ -296,6 +296,9 @@ fn execute<O: SimObserver>(cfg: &SimConfig, source: Source<'_>, obs: &mut O) -> 
 /// scheduling passes each read as a focused step over named state.
 struct EngineState {
     system: MultiCluster,
+    /// The jobs in the system, queued or running: a job leaves it when
+    /// it departs or is aborted by a fault, so the table spans only
+    /// the arrivals since the oldest job still present.
     table: JobTable,
     metrics: Metrics,
     sim: Simulation<SimEvent>,
@@ -410,10 +413,6 @@ where
     /// feed has none: its jobs arrive inside the passes).
     fn init(&mut self) -> EngineState {
         let backlog = self.feed.backlog();
-        // A backlog run holds every departed job, the queued floor and
-        // at most one running job per processor.
-        let jobs = self.cfg.total_jobs as usize
-            + if backlog > 0 { backlog + self.cfg.capacity() as usize } else { 0 };
         let mut metrics =
             Metrics::new(self.cfg.capacity(), self.scheduler.num_queues(), self.cfg.batch_size);
         if self.cfg.record_series {
@@ -421,7 +420,7 @@ where
         }
         let mut st = EngineState {
             system: MultiCluster::from_spec(&self.cfg.system),
-            table: JobTable::with_capacity(jobs),
+            table: JobTable::new(),
             metrics,
             sim: Simulation::new(),
             pending: None,
@@ -546,6 +545,7 @@ where
             st.metrics.record_departure(now, job);
         }
         self.scheduler.job_departed(id);
+        st.table.remove(id);
         self.scheduler.on_departure();
         // A departing multi-cluster job frees its bandwidth: the
         // surviving flows speed up and their departures move forward.
@@ -612,7 +612,10 @@ where
                 InterruptPolicy::RequeueFront => self.scheduler.requeue_front(id, queue),
                 InterruptPolicy::RequeueBack => self.scheduler.enqueue(id, queue),
                 // The job leaves the system with nothing to show for it.
-                InterruptPolicy::Abort => st.metrics.record_exit(now),
+                InterruptPolicy::Abort => {
+                    st.metrics.record_exit(now);
+                    st.table.remove(id);
+                }
             }
         }
         if net_changed {
