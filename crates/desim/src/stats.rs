@@ -300,7 +300,7 @@ pub fn t_975(df: u64) -> f64 {
 }
 
 /// A mean together with a two-sided 95 % confidence half-width.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
 pub struct Estimate {
     /// Point estimate.
     pub mean: f64,
@@ -310,22 +310,11 @@ pub struct Estimate {
     pub n: u64,
 }
 
-// Hand-written serde: an unestimable half-width is `f64::INFINITY`,
-// which JSON can only carry as `null`. The derived impl would fail to
-// read that null back into a plain f64, so checkpointed sweeps with
-// single-replication (infinite-CI) points could never resume. Null (or
-// a missing field) maps back to ∞ here.
-impl serde::Serialize for Estimate {
-    fn to_value(&self) -> serde::value::Value {
-        use serde::value::Value;
-        Value::Object(vec![
-            ("mean".to_string(), self.mean.to_value()),
-            ("half_width".to_string(), self.half_width.to_value()),
-            ("n".to_string(), Value::Uint(self.n)),
-        ])
-    }
-}
-
+// Hand-written `Deserialize`: an unestimable half-width is
+// `f64::INFINITY`, which JSON can only carry as `null`. The derived impl
+// would fail to read that null back into a plain f64, so checkpointed
+// sweeps with single-replication (infinite-CI) points could never
+// resume. Null (or a missing field) maps back to ∞ here.
 impl serde::Deserialize for Estimate {
     fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
         use serde::value::field;
@@ -567,13 +556,17 @@ mod tests {
         // JSON carries ∞ as null; the manual impl maps it back so
         // checkpointed single-replication points survive a round trip.
         use serde::{Deserialize as _, Serialize as _};
-        let e = Estimate { mean: 42.5, half_width: f64::INFINITY, n: 1 };
-        let back = Estimate::from_value(&e.to_value()).expect("roundtrip");
+        let roundtrip = |e: &Estimate| {
+            let mut json = String::new();
+            e.write_json(&mut json);
+            Estimate::from_value(&serde::value::parse(&json).expect("valid JSON"))
+                .expect("roundtrip")
+        };
+        let back = roundtrip(&Estimate { mean: 42.5, half_width: f64::INFINITY, n: 1 });
         assert_eq!(back.mean, 42.5);
         assert!(back.half_width.is_infinite());
         assert_eq!(back.n, 1);
-        let finite = Estimate { mean: 10.0, half_width: 2.5, n: 7 };
-        let back = Estimate::from_value(&finite.to_value()).expect("roundtrip");
+        let back = roundtrip(&Estimate { mean: 10.0, half_width: 2.5, n: 7 });
         assert_eq!(back.half_width, 2.5);
         assert_eq!(back.n, 7);
     }

@@ -90,8 +90,8 @@ impl PartialEq for Components {
 impl Eq for Components {}
 
 impl serde::Serialize for Components {
-    fn to_value(&self) -> serde::value::Value {
-        self.as_slice().to_value()
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 

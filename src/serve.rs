@@ -82,7 +82,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use coalloc_core::experiment::{
-    CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, SweepPoint, WorkerPool,
+    CancelReason, CancelToken, ResultStore, ScenarioCache, SweepConfig, WorkerPool,
 };
 use coalloc_core::{bisect_max_utilization, BisectionError, CoallocError, ProbePlan};
 
@@ -151,59 +151,47 @@ pub struct ServeRequest {
     pub target: Option<String>,
 }
 
-/// `disk_hits` counts the round's cache hits answered by rehydrating
-/// the disk store; it is `None`, and left out of the line, when no store
-/// is attached (see [`event_line`]).
-#[derive(serde::Serialize)]
-struct RoundEvent {
-    id: String,
-    event: String,
-    round: u64,
-    tasks: u64,
-    cache_hits: u64,
-    disk_hits: Option<u64>,
-    executed: u64,
-    open_points: u64,
-}
-
-/// `points` is deliberately the LAST field: everything after
-/// `"points":` up to the closing `}` is exactly
+/// One response line, written field by field in protocol order:
+/// `{"id":…,"event":…` and then whatever the event carries.
+///
+/// A sweep result's `points` is deliberately its LAST field: everything
+/// after `"points":` up to the closing `}` is exactly
 /// `serde_json::to_string(&points)` — the same bytes `coalloc-exp sweep
 /// --json` prints — so clients and CI can compare results byte for byte.
-/// `disk_hits` is as in [`RoundEvent`].
-#[derive(serde::Serialize)]
-struct SweepResultEvent {
-    id: String,
-    event: String,
-    rounds: u64,
-    resumed: u64,
-    executed: u64,
-    cache_hits: u64,
-    disk_hits: Option<u64>,
-    points: Vec<SweepPoint>,
-}
+struct EventLine(String);
 
-#[derive(serde::Serialize)]
-struct SaturationResultEvent {
-    id: String,
-    event: String,
-    max_utilization: f64,
-}
+impl EventLine {
+    fn new(id: &str, event: &str) -> Self {
+        let mut line = EventLine(String::from("{\"id\":"));
+        serde::value::escape_into(id, &mut line.0);
+        line.field("event", event)
+    }
 
-#[derive(serde::Serialize)]
-struct ErrorEvent {
-    id: String,
-    event: String,
-    error: String,
-}
+    /// Appends `,"name":value`.
+    fn field(mut self, name: &str, value: &(impl serde::Serialize + ?Sized)) -> Self {
+        self.0.push_str(",\"");
+        self.0.push_str(name);
+        self.0.push_str("\":");
+        value.write_json(&mut self.0);
+        self
+    }
 
-/// The in-band terminal event of a cancelled or timed-out request
-/// (`event` is `"cancelled"` or `"timeout"`) and the acknowledgement of
-/// a `shutdown` request (`event` is `"shutdown"`).
-#[derive(serde::Serialize)]
-struct LifecycleEvent {
-    id: String,
-    event: String,
+    /// Appends the field only when `present`: round and sweep-result
+    /// lines carry `disk_hits` (the cache hits answered by rehydrating
+    /// the disk store) only when a store is attached, so storeless
+    /// daemons emit the historical bytes exactly.
+    fn field_if(self, present: bool, name: &str, value: &impl serde::Serialize) -> Self {
+        if present {
+            self.field(name, value)
+        } else {
+            self
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
 }
 
 /// How to run the serve loop; see [`serve_with`].
@@ -237,22 +225,6 @@ pub struct ServeSummary {
     pub disk_hits: u64,
 }
 
-/// One event as a compact JSON line, without its `null` fields: an
-/// optional field that is `None` is left out, so storeless daemons
-/// emit the historical bytes exactly (the vendored serde derive has no
-/// `skip_serializing_if`; its objects keep field order).
-fn event_line(event: &impl serde::Serialize) -> String {
-    let mut value = event.to_value();
-    if let serde::value::Value::Object(fields) = &mut value {
-        fields.retain(|(_, v)| *v != serde::value::Value::Null);
-    }
-    // Written directly: `serde_json::to_string(&value)` would clone the
-    // tree, `points` included.
-    let mut line = String::new();
-    serde::value::write_compact(&value, &mut line);
-    line
-}
-
 fn send(tx: &mpsc::Sender<String>, line: String) {
     // The writer thread only exits after the channel drains; a send
     // failure means the output pipe died, in which case the results
@@ -261,13 +233,14 @@ fn send(tx: &mpsc::Sender<String>, line: String) {
 }
 
 fn error_event(tx: &mpsc::Sender<String>, id: &str, error: String) {
-    let ev = ErrorEvent { id: id.to_string(), event: "error".to_string(), error };
-    send(tx, serde_json::to_string(&ev).expect("error event serializes"));
+    send(tx, EventLine::new(id, "error").field("error", &error).finish());
 }
 
+/// The in-band terminal event of a cancelled or timed-out request
+/// (`event` is `"cancelled"` or `"timeout"`) and the acknowledgement of
+/// a `shutdown` request (`event` is `"shutdown"`).
 fn lifecycle_event(tx: &mpsc::Sender<String>, id: &str, event: &str) {
-    let ev = LifecycleEvent { id: id.to_string(), event: event.to_string() };
-    send(tx, serde_json::to_string(&ev).expect("lifecycle event serializes"));
+    send(tx, EventLine::new(id, event).finish());
 }
 
 fn missing(field: &str) -> CoallocError {
@@ -344,32 +317,26 @@ fn handle_request(
                 &cfg,
                 Some(cancel),
                 |r| {
-                    let round = RoundEvent {
-                        id: id.to_string(),
-                        event: "round".to_string(),
-                        round: r.round as u64,
-                        tasks: r.tasks as u64,
-                        cache_hits: r.cache_hits as u64,
-                        disk_hits: disk.then_some(r.disk_hits as u64),
-                        executed: r.executed as u64,
-                        open_points: r.open_points as u64,
-                    };
-                    send(tx, event_line(&round));
+                    let round = EventLine::new(id, "round")
+                        .field("round", &r.round)
+                        .field("tasks", &r.tasks)
+                        .field("cache_hits", &r.cache_hits)
+                        .field_if(disk, "disk_hits", &r.disk_hits)
+                        .field("executed", &r.executed)
+                        .field("open_points", &r.open_points);
+                    send(tx, round.finish());
                 },
             );
             match run {
                 Ok((points, stats)) => {
-                    let result = SweepResultEvent {
-                        id: id.to_string(),
-                        event: "result".to_string(),
-                        rounds: stats.rounds as u64,
-                        resumed: stats.resumed,
-                        executed: stats.executed,
-                        cache_hits: stats.cache_hits,
-                        disk_hits: disk.then_some(stats.disk_hits),
-                        points,
-                    };
-                    send(tx, event_line(&result));
+                    let result = EventLine::new(id, "result")
+                        .field("rounds", &stats.rounds)
+                        .field("resumed", &stats.resumed)
+                        .field("executed", &stats.executed)
+                        .field("cache_hits", &stats.cache_hits)
+                        .field_if(disk, "disk_hits", &stats.disk_hits)
+                        .field("points", &points);
+                    send(tx, result.finish());
                     Ok(None)
                 }
                 Err(reason) => {
@@ -392,12 +359,7 @@ fn handle_request(
                 Some(cancel),
             ) {
                 Ok(max) => {
-                    let ev = SaturationResultEvent {
-                        id: id.to_string(),
-                        event: "result".to_string(),
-                        max_utilization: max,
-                    };
-                    send(tx, serde_json::to_string(&ev).expect("saturation result serializes"));
+                    send(tx, EventLine::new(id, "result").field("max_utilization", &max).finish());
                     Ok(None)
                 }
                 Err(BisectionError::Config(e)) => Err(e.into()),
@@ -541,6 +503,15 @@ pub fn serve_with<R: BufRead, W: Write + Send + 'static>(
             None => CancelToken::new(),
         };
         registry_lock(&tokens).insert(id.clone(), token.clone());
+        // Join the handlers that have finished: an unjoined thread keeps
+        // its stack mapped, so a long-lived daemon would otherwise grow
+        // by one stack per request it ever answered.
+        let (finished, running) =
+            handlers.into_iter().partition::<Vec<_>, _>(std::thread::JoinHandle::is_finished);
+        handlers = running;
+        for h in finished {
+            let _ = h.join();
+        }
         let (pool, cache, tx) = (Arc::clone(&pool), Arc::clone(&cache), tx.clone());
         let (errors, cancelled, tokens) =
             (Arc::clone(&errors), Arc::clone(&cancelled), Arc::clone(&tokens));

@@ -4,7 +4,7 @@
 //! without re-running completed work, and survive panic-injected
 //! replications as per-request data — never as a dead daemon.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
 /// Runs the real `coalloc-exp` binary with `args`, feeding `input` on
@@ -308,4 +308,44 @@ fn panic_injected_replications_surface_as_failures_not_a_dead_daemon() {
         events_for(&stdout, "q").iter().any(|l| l.contains("\"event\":\"result\"")),
         "daemon survives poisoned replications:\n{stdout}"
     );
+}
+
+/// A long-lived daemon does not keep a thread stack per request: each
+/// finished request's handler is joined before the next one spawns.
+/// Left unjoined, 200 handlers add about 400 lines to the daemon's
+/// `/proc/<pid>/maps` (a stack and its guard page each).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_closed_loop_of_requests_does_not_grow_the_daemons_mappings() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_coalloc-exp"))
+        .args(["serve", "--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("coalloc-exp spawns");
+    let maps = format!("/proc/{}/maps", child.id());
+    let mappings = || std::fs::read_to_string(&maps).expect("daemon maps readable").lines().count();
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let req = r#"{"id":"w","kind":"sweep","policy":"GS","limit":16,"utilizations":[0.3],"min_reps":1,"max_reps":1}"#;
+    // Sends one request and reads up to its result: one in flight at a time.
+    let mut ask = || {
+        writeln!(stdin, "{req}").expect("request written");
+        let mut line = String::new();
+        while !line.contains("\"event\":\"result\"") {
+            line.clear();
+            assert!(stdout.read_line(&mut line).expect("event read") > 0, "daemon answers");
+        }
+    };
+
+    ask(); // executes the replication; every later request is a cache hit
+    let before = mappings();
+    for _ in 0..200 {
+        ask();
+    }
+    let after = mappings();
+    drop(stdin);
+    assert!(child.wait().expect("daemon exits").success(), "daemon exits 0 at EOF");
+    assert!(after <= before + 32, "maps grew from {before} to {after} lines over 200 requests");
 }
