@@ -10,8 +10,8 @@ use crate::job::{ActiveJob, JobId, Placement, SubmitQueue};
 use crate::placement::{place_scoped, PlacementRule};
 use crate::policy::{estimated_occupancy, replay_shadow};
 use crate::queue::QueueDiscipline;
-use crate::sim::network::{self, ShareScratch};
-use crate::sim::{cluster_mask, NetworkSpec, SimConfig};
+use crate::sim::network::{self, cluster_mask, ShareScratch};
+use crate::sim::{NetworkSpec, SimConfig};
 use crate::system::SystemSpec;
 
 use super::{PlacementDecision, PlacementScope, Resize, SimObserver};

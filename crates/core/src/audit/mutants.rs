@@ -155,7 +155,7 @@ impl Scheduler for OvertakingScheduler {
                         },
                     );
                     system.apply(&placement);
-                    table.mark_started(id, placement, now);
+                    table.mark_started(id, placement, now, f64::INFINITY);
                     self.queue.remove(pos);
                     started.push(id);
                 }
@@ -360,7 +360,7 @@ fn place_and_start(
         idle[c] -= n;
     }
     let occ = 100.0 * Workload::das(32).extension_factor(p.assignments().len());
-    table.mark_started(id, p.clone(), SimTime::new(t));
+    table.mark_started(id, p.clone(), SimTime::new(t), f64::INFINITY);
     auditor.on_start(SimTime::new(t), id, table.get(id), Duration::new(occ));
     p
 }
@@ -663,7 +663,7 @@ fn easy_scenario(
             placement: &pc,
         },
     );
-    table.mark_started(c, pc, SimTime::new(2.0));
+    table.mark_started(c, pc, SimTime::new(2.0), f64::INFINITY);
     auditor.on_start(SimTime::new(2.0), c, table.get(c), Duration::new(c_service));
     (a, b, c)
 }
@@ -735,7 +735,7 @@ fn head_started_by_its_reservation_is_clean() {
     );
     let span = pb.assignments().len();
     let occ = 100.0 * Workload::das(32).extension_factor(span);
-    table.mark_started(b, pb, SimTime::new(100.0));
+    table.mark_started(b, pb, SimTime::new(100.0), f64::INFINITY);
     auditor.on_start(SimTime::new(100.0), b, table.get(b), Duration::new(occ));
     auditor.on_pass(SimTime::new(300.0), PassTrigger::Departure);
     auditor.assert_clean();

@@ -7,8 +7,6 @@
 //! [`core::fmt::Display`] naming the offending input, and
 //! [`std::error::Error::source`] chaining for I/O causes.
 
-use std::path::PathBuf;
-
 use crate::system::SystemSpecError;
 
 /// A typed error for the co-allocation toolchain's fallible paths.
@@ -53,13 +51,6 @@ pub enum CoallocError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// A checkpoint file exists but cannot be used.
-    Checkpoint {
-        /// The checkpoint path.
-        path: PathBuf,
-        /// Why it was rejected (truncated, corrupt, wrong fingerprint…).
-        detail: String,
-    },
 }
 
 impl CoallocError {
@@ -97,9 +88,6 @@ impl core::fmt::Display for CoallocError {
             CoallocError::Config(e) => write!(f, "invalid {}: {e}", e.field),
             CoallocError::Io { context, source } => {
                 write!(f, "{context}: {source}")
-            }
-            CoallocError::Checkpoint { path, detail } => {
-                write!(f, "checkpoint {}: {detail}", path.display())
             }
         }
     }

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use coalloc_workload::JobSpec;
-use desim::{Duration, SimTime};
+use desim::{Duration, EventId, SimTime};
 
 /// Identifies a job within one simulation run (its arrival index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -178,8 +178,26 @@ impl ActiveJob {
     }
 }
 
+/// A running job's entry in the [`JobTable`]'s running list: when the
+/// job leaves, and when backfilling expects it to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Running {
+    /// The running job.
+    pub id: JobId,
+    /// Its pending departure event. The scheduler that starts a job
+    /// cannot know it: until the engine schedules the departure right
+    /// after the pass and records it here, it holds an id no event has.
+    pub departure: EventId,
+    /// When that departure fires.
+    pub end: SimTime,
+    /// Backfilling's estimate of the job's end, in seconds:
+    /// `f64::INFINITY` when the discipline does not backfill (or every
+    /// estimate is infinite).
+    pub est_end: f64,
+}
+
 /// The jobs of one simulation run still in the system, indexed by
-/// [`JobId`].
+/// [`JobId`], and the one registry of which of them run.
 ///
 /// A sliding window from the oldest job not yet [removed](Self::remove)
 /// to the newest one: ids stay arrival indices and keep counting, and
@@ -187,12 +205,22 @@ impl ActiveJob {
 /// the next one. Memory is therefore proportional to the arrivals since
 /// the oldest live job, not to all arrivals — a job that never starts
 /// pins the window, which then grows as an append-only table would.
+///
+/// Beside the window, a compact list holds one entry per running job
+/// (its pending departure and backfilling's estimate of its end), so
+/// the few jobs that run are found without walking the queued ones.
+/// [`JobTable::mark_started`] appends an entry, and a departure
+/// ([`JobTable::remove`]) or a fault kill (`JobTable::interrupt`)
+/// swap-removes it: the list is in start order, except that the last
+/// entry takes each removed one's place.
 #[derive(Debug, Default)]
 pub struct JobTable {
     /// Slot `i` holds job `base + i`; `None` once removed.
     jobs: VecDeque<Option<ActiveJob>>,
     /// The id of the first slot.
     base: u64,
+    /// One entry per running job.
+    running: Vec<Running>,
 }
 
 impl JobTable {
@@ -237,7 +265,8 @@ impl JobTable {
     }
 
     /// Removes a job that left the system and returns it; the window
-    /// then starts at the oldest job still present.
+    /// then starts at the oldest job still present. A running job's
+    /// entry leaves the running list with it.
     ///
     /// # Panics
     /// Panics if the job was removed already or never inserted.
@@ -248,11 +277,17 @@ impl JobTable {
             self.jobs.pop_front();
             self.base += 1;
         }
+        if job.started() {
+            self.running.swap_remove(self.running_index(id));
+        }
         job
     }
 
-    /// Marks a job started: records its placement and start time.
-    pub fn mark_started(&mut self, id: JobId, placement: Placement, now: SimTime) {
+    /// Marks a job started: records its placement and start time, and
+    /// appends its entry to the running list with backfilling's
+    /// estimate of its end. The departure is the engine's to record
+    /// once it schedules the event.
+    pub fn mark_started(&mut self, id: JobId, placement: Placement, now: SimTime, est_end: f64) {
         let job = self.get_mut(id);
         debug_assert!(!job.started(), "job started twice");
         debug_assert_eq!(
@@ -262,12 +297,65 @@ impl JobTable {
         );
         job.placement = Some(placement);
         job.start = Some(now);
+        self.running.push(Running {
+            id,
+            departure: EventId::from_raw(u64::MAX),
+            end: SimTime::MAX,
+            est_end,
+        });
+    }
+
+    /// Stops a running job that a fault killed: it goes back to
+    /// waiting (it stays in the table) and leaves the running list.
+    /// Returns the placement it held and when it started.
+    ///
+    /// # Panics
+    /// Panics if the job is not running.
+    pub(crate) fn interrupt(&mut self, id: JobId) -> (Placement, SimTime) {
+        self.running.swap_remove(self.running_index(id));
+        let job = self.get_mut(id);
+        let placement = job.placement.take().expect("a running job is placed");
+        let start = job.start.take().expect("a running job has started");
+        (placement, start)
+    }
+
+    /// The running jobs' entries: in start order, except that each
+    /// removal moved the last entry into the removed one's place.
+    pub(crate) fn running(&self) -> &[Running] {
+        &self.running
+    }
+
+    /// The running-list entry of `id`.
+    ///
+    /// # Panics
+    /// Panics if the job is not running.
+    pub(crate) fn running_entry(&self, id: JobId) -> &Running {
+        &self.running[self.running_index(id)]
+    }
+
+    /// Mutable access to the running-list entry of `id`.
+    ///
+    /// # Panics
+    /// Panics if the job is not running.
+    pub(crate) fn running_entry_mut(&mut self, id: JobId) -> &mut Running {
+        let i = self.running_index(id);
+        &mut self.running[i]
+    }
+
+    /// Where `id`'s entry sits in the running list.
+    fn running_index(&self, id: JobId) -> usize {
+        self.running.iter().position(|r| r.id == id).unwrap_or_else(|| not_running(id))
     }
 }
 
 #[cold]
 fn missing(id: JobId) -> ! {
     panic!("job {} is not in the job table: it left the system or never arrived", id.0)
+}
+
+#[cold]
+fn not_running(id: JobId) -> ! {
+    panic!("job {} is not running", id.0)
 }
 
 #[cfg(test)]
@@ -321,9 +409,10 @@ mod tests {
             t.insert(ActiveJob::new(spec(vec![4, 4], 10.0), SimTime::ZERO, SubmitQueue::Global));
         assert_eq!(id, JobId(0));
         assert!(!t.get(id).started());
-        t.mark_started(id, Placement::new(vec![(0, 4), (3, 4)]), SimTime::new(5.0));
+        t.mark_started(id, Placement::new(vec![(0, 4), (3, 4)]), SimTime::new(5.0), 25.0);
         assert!(t.get(id).started());
         assert_eq!(t.get(id).start, Some(SimTime::new(5.0)));
+        assert_eq!((t.running_entry(id).id, t.running_entry(id).est_end), (id, 25.0));
     }
 
     /// A table of `n` jobs; job `i` has a base service of `10 + i` s.
@@ -407,6 +496,87 @@ mod tests {
         let mut t = JobTable::new();
         let id =
             t.insert(ActiveJob::new(spec(vec![4, 4], 10.0), SimTime::ZERO, SubmitQueue::Global));
-        t.mark_started(id, Placement::new(vec![(0, 4)]), SimTime::new(1.0));
+        t.mark_started(id, Placement::new(vec![(0, 4)]), SimTime::new(1.0), f64::INFINITY);
+    }
+
+    /// Starts `id` at t = 1 on cluster 0, estimated to end at `100 + id`.
+    fn start(t: &mut JobTable, id: JobId) {
+        t.mark_started(id, Placement::new(vec![(0, 4)]), SimTime::new(1.0), 100.0 + id.0 as f64);
+    }
+
+    fn running_ids(t: &JobTable) -> Vec<u64> {
+        t.running().iter().map(|r| r.id.0).collect()
+    }
+
+    #[test]
+    fn the_running_list_holds_the_running_jobs_in_start_order_with_swap_removal() {
+        let (mut t, ids) = table_of(6);
+        for &id in &[ids[3], ids[0], ids[1], ids[4]] {
+            start(&mut t, id);
+        }
+        assert_eq!(running_ids(&t), [3, 0, 1, 4], "start order; queued jobs 2 and 5 are absent");
+        t.remove(ids[0]);
+        assert_eq!(running_ids(&t), [3, 4, 1], "the last entry takes the removed one's place");
+        start(&mut t, ids[5]);
+        assert_eq!(running_ids(&t), [3, 4, 1, 5]);
+        t.interrupt(ids[3]);
+        assert_eq!(running_ids(&t), [5, 4, 1]);
+        // Removing a queued job leaves the list alone.
+        t.remove(ids[2]);
+        assert_eq!(running_ids(&t), [5, 4, 1]);
+        let entry = t.running_entry(ids[4]);
+        assert_eq!((entry.id, entry.est_end), (ids[4], 104.0));
+    }
+
+    #[test]
+    fn interrupt_and_remove_each_drop_the_entry() {
+        let (mut t, ids) = table_of(3);
+        start(&mut t, ids[0]);
+        start(&mut t, ids[1]);
+        let departure = EventId::from_raw(7);
+        *t.running_entry_mut(ids[1]) =
+            Running { departure, end: SimTime::new(42.0), ..*t.running_entry(ids[1]) };
+        assert_eq!(t.running_entry(ids[1]).departure, departure);
+        // A killed job hands back what it held and waits again.
+        let (placement, started) = t.interrupt(ids[1]);
+        assert_eq!((placement.total(), started), (4, SimTime::new(1.0)));
+        assert!(!t.get(ids[1]).started(), "an interrupted job is queued again");
+        assert_eq!(running_ids(&t), [0]);
+        // It can start again, and a departure removes it for good.
+        start(&mut t, ids[1]);
+        assert_eq!(running_ids(&t), [0, 1]);
+        t.remove(ids[1]);
+        assert_eq!(running_ids(&t), [0]);
+        // An aborted victim is interrupted, then removed while queued.
+        t.interrupt(ids[0]);
+        t.remove(ids[0]);
+        assert!(t.running().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 is not running")]
+    fn the_entry_of_a_queued_job_panics() {
+        let (mut t, ids) = table_of(2);
+        start(&mut t, ids[0]);
+        t.running_entry(ids[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 is not running")]
+    fn the_entry_of_an_interrupted_job_panics() {
+        let (mut t, ids) = table_of(2);
+        start(&mut t, ids[0]);
+        t.interrupt(ids[0]);
+        t.running_entry_mut(ids[0]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_active_job_stays_208_bytes() {
+        // Saturated runs hold thousands of queued jobs in the window, so
+        // a field that only running jobs need belongs in the running
+        // list: 40 more bytes here raised a contended sweep's peak
+        // resident memory by a tenth.
+        assert_eq!(std::mem::size_of::<ActiveJob>(), 208);
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! Both axes are carried by [`PolicyOptions`] and implemented by the
 //! per-scheduler [`FlexEngine`]. The default options (`Rigid` + `Fcfs`)
-//! make the engine fully passive: no running-set tracking, no estimate
-//! arithmetic, and the exact event stream of the pre-flex schedulers —
-//! the byte-identity regression tests pin this.
+//! make the engine fully passive: no estimate arithmetic, no shadow
+//! replay, and the exact event stream of the pre-flex schedulers — the
+//! byte-identity regression tests pin this.
 
 use coalloc_workload::{JobDisposition, JobRequest, RequestKind, Workload};
 use desim::{Duration, SimTime};
@@ -115,15 +115,6 @@ pub(crate) fn replay_shadow(
     f64::INFINITY
 }
 
-/// One tracked running job: the estimated end backfilling replays, and
-/// the placement whose release the replay applies.
-#[derive(Debug, Clone)]
-struct RunningEst {
-    id: JobId,
-    est_end: f64,
-    placement: Placement,
-}
-
 /// What one scheduling pass works on: the clock, the machine, the job
 /// table, the observer, and the caller-owned buffer that started jobs
 /// are appended to (see [`super::Scheduler::schedule_into`]).
@@ -148,9 +139,8 @@ pub(crate) struct Pass<'a> {
 pub(crate) struct FlexEngine {
     opts: PolicyOptions,
     rule: PlacementRule,
-    /// Running jobs, tracked only when the discipline backfills.
-    running: Vec<RunningEst>,
-    /// Reused scratch: releases sorted by (est_end, id) for the replay.
+    /// Reused scratch: the running jobs' releases, sorted by estimated
+    /// end for the replay.
     releases: Vec<(f64, Placement)>,
     /// Reused scratch: the idle vector the replay mutates.
     shadow_idle: Vec<u32>,
@@ -158,17 +148,11 @@ pub(crate) struct FlexEngine {
 
 impl FlexEngine {
     pub(crate) fn new(rule: PlacementRule, opts: PolicyOptions) -> Self {
-        FlexEngine {
-            opts,
-            rule,
-            running: Vec::new(),
-            releases: Vec::new(),
-            shadow_idle: Vec::new(),
-        }
+        FlexEngine { opts, rule, releases: Vec::new(), shadow_idle: Vec::new() }
     }
 
     /// Whether the discipline may start non-head jobs (and the engine
-    /// therefore tracks the running set).
+    /// therefore estimates every start's end).
     pub(crate) fn backfills(&self) -> bool {
         self.opts.discipline.backfills()
     }
@@ -234,10 +218,11 @@ impl FlexEngine {
 
     /// Attempts to start `id` now: disposition-aware placement, the
     /// backfilling reservation check, event emission (a molded split
-    /// first, then the placement decision), the system/table commit and
-    /// running-set tracking. `max_est_end` is the backfilling bound —
-    /// the candidate may only start if its estimated end lies *strictly*
-    /// before it (`None` for queue heads, which hold no one up).
+    /// first, then the placement decision), and the system/table commit
+    /// with the job's estimated end. `max_est_end` is the backfilling
+    /// bound — the candidate may only start if its estimated end lies
+    /// *strictly* before it (`None` for queue heads, which hold no one
+    /// up).
     ///
     /// Returns whether the job started; a failed attempt emits nothing
     /// and changes nothing. The caller removes a started job from its
@@ -277,12 +262,12 @@ impl FlexEngine {
             },
         );
         p.system.apply(&placement);
-        if self.backfills() {
-            let est_end =
-                self.est_end(now.seconds(), p.table.get(id), placement.assignments().len());
-            self.running.push(RunningEst { id, est_end, placement: placement.clone() });
-        }
-        p.table.mark_started(id, placement, now);
+        let est_end = if self.backfills() {
+            self.est_end(now.seconds(), p.table.get(id), placement.assignments().len())
+        } else {
+            f64::INFINITY
+        };
+        p.table.mark_started(id, placement, now, est_end);
         true
     }
 
@@ -338,8 +323,8 @@ impl FlexEngine {
             }
             if let Some(b) = bound.filter(|_| self.conservative()) {
                 let request = &p.table.get(id).spec.request;
-                let shadow =
-                    self.shadow(p.system.idle_per_cluster(), request, job_scope, p.now.seconds());
+                let idle = p.system.idle_per_cluster();
+                let shadow = self.shadow(p.table, idle, request, job_scope, p.now.seconds());
                 bound = Some(b.min(shadow));
             }
             pos += 1;
@@ -368,62 +353,33 @@ impl FlexEngine {
             return;
         }
         let head = p.table.get(queue.head().expect("len >= 2"));
-        let shadow = self.shadow(
-            p.system.idle_per_cluster(),
-            &head.spec.request,
-            scope(head),
-            p.now.seconds(),
-        );
+        let idle = p.system.idle_per_cluster();
+        let shadow = self.shadow(p.table, idle, &head.spec.request, scope(head), p.now.seconds());
         self.scan(p, queue, label, scope, 1, Some(shadow));
     }
 
     /// The shadow time of a blocked queue head: the earliest estimated
-    /// time its request fits, replaying the tracked running set (see
+    /// time its request fits, replaying the table's running jobs (see
     /// [`replay_shadow`]).
     fn shadow(
         &mut self,
+        table: &JobTable,
         idle: &[u32],
         request: &JobRequest,
         scope: PlacementScope,
         now: f64,
     ) -> f64 {
         self.releases.clear();
-        self.releases.extend(self.running.iter().map(|r| (r.est_end, r.placement.clone())));
-        // Stable sort: equal estimates keep their (deterministic) start
-        // order, so the replay is reproducible for a given seed.
+        self.releases.extend(table.running().iter().map(|r| {
+            let placement = table.get(r.id).placement.clone();
+            (r.est_end, placement.expect("a running job is placed"))
+        }));
+        // Stable sort: equal estimates keep their (deterministic)
+        // running-list order, so the replay is reproducible for a seed.
         self.releases.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("estimates are never NaN"));
         self.shadow_idle.clear();
         self.shadow_idle.extend_from_slice(idle);
         replay_shadow(&mut self.shadow_idle, &self.releases, request, scope, self.rule, now)
-    }
-
-    /// A tracked job departed (or was killed by a fault).
-    pub(crate) fn note_departed(&mut self, id: JobId) {
-        if let Some(pos) = self.running.iter().position(|r| r.id == id) {
-            self.running.swap_remove(pos);
-        }
-    }
-
-    /// A tracked job was resized: its estimated remaining time scales
-    /// by the inverse of its processor-count change *and* by the ratio
-    /// of the wide-area extension factors for the new and old spans —
-    /// the same base-work conservation the session applies to the
-    /// actual departure. When the span is unchanged the factor ratio is
-    /// exactly `1.0` (IEEE `x / x`), so same-span resizes keep their
-    /// historical bit pattern.
-    pub(crate) fn note_resized(&mut self, now: SimTime, id: JobId, new_placement: &Placement) {
-        if let Some(entry) = self.running.iter_mut().find(|r| r.id == id) {
-            let old_total = f64::from(entry.placement.total());
-            let new_total = f64::from(new_placement.total());
-            if entry.est_end.is_finite() {
-                let f_old =
-                    self.opts.workload.extension_factor(entry.placement.assignments().len());
-                let f_new = self.opts.workload.extension_factor(new_placement.assignments().len());
-                let t = now.seconds();
-                entry.est_end = t + (entry.est_end - t) * old_total / new_total * (f_new / f_old);
-            }
-            entry.placement = new_placement.clone();
-        }
     }
 }
 
@@ -477,7 +433,7 @@ mod tests {
         let mut table = JobTable::new();
         let id = job(&mut table, &[16, 16]);
         assert!(attempt(&mut engine, &mut system, &mut table, id, None));
-        assert!(engine.running.is_empty(), "no tracking under FCFS");
+        assert_eq!(table.running_entry(id).est_end, f64::INFINITY, "no estimate under FCFS");
         assert_eq!(table.get(id).spec.request.components(), &[16, 16], "no molding under Rigid");
     }
 
@@ -517,36 +473,28 @@ mod tests {
         // 250 admits.
         assert!(!attempt(&mut engine, &mut system, &mut table, id, Some(150.0)));
         assert!(attempt(&mut engine, &mut system, &mut table, id, Some(250.0)));
-        assert_eq!(engine.running.len(), 1, "backfilling tracks the running set");
-        engine.note_departed(id);
-        assert!(engine.running.is_empty());
+        assert_eq!(table.running_entry(id).est_end, 200.0, "backfilling estimates the end");
     }
 
     #[test]
     fn shadow_replays_releases_in_estimate_order() {
         let mut engine = engine(JobDisposition::Rigid, QueueDiscipline::Easy);
-        engine.running.push(RunningEst {
-            id: JobId(0),
-            est_end: 300.0,
-            placement: Placement::new(vec![(0, 32), (1, 32)]),
-        });
-        engine.running.push(RunningEst {
-            id: JobId(1),
-            est_end: 150.0,
-            placement: Placement::new(vec![(2, 32)]),
-        });
+        let mut table = JobTable::new();
+        let (a, b) = (job(&mut table, &[32, 32]), job(&mut table, &[32]));
+        table.mark_started(a, Placement::new(vec![(0, 32), (1, 32)]), SimTime::ZERO, 300.0);
+        table.mark_started(b, Placement::new(vec![(2, 32)]), SimTime::ZERO, 150.0);
         // Idle (0,0,0,32): a (32,32) head fits only once the 150-ending
         // job frees cluster 2.
         let head = JobRequest::new(vec![32, 32]);
-        let s = engine.shadow(&[0, 0, 0, 32], &head, PlacementScope::System, 10.0);
+        let s = engine.shadow(&table, &[0, 0, 0, 32], &head, PlacementScope::System, 10.0);
         assert_eq!(s, 150.0);
         // A whole-system head needs both releases.
         let big = JobRequest::new(vec![32, 32, 32, 32]);
-        let s = engine.shadow(&[0, 0, 0, 32], &big, PlacementScope::System, 10.0);
+        let s = engine.shadow(&table, &[0, 0, 0, 32], &big, PlacementScope::System, 10.0);
         assert_eq!(s, 300.0);
         // An impossible head shadows at infinity.
         let impossible = JobRequest::new(vec![33, 33, 33, 33, 33]);
-        let s = engine.shadow(&[0, 0, 0, 32], &impossible, PlacementScope::System, 10.0);
+        let s = engine.shadow(&table, &[0, 0, 0, 32], &impossible, PlacementScope::System, 10.0);
         assert!(s.is_infinite());
     }
 
@@ -565,40 +513,5 @@ mod tests {
         // Even an infinite bound rejects an infinite estimate (∞ < ∞ is
         // false) — EASY with no information degenerates to FCFS.
         assert!(!attempt(&mut engine, &mut system, &mut table, id, Some(f64::INFINITY)));
-    }
-
-    #[test]
-    fn resize_rescales_the_estimate() {
-        let mut engine = engine(JobDisposition::Malleable, QueueDiscipline::Easy);
-        engine.running.push(RunningEst {
-            id: JobId(3),
-            est_end: 100.0,
-            placement: Placement::new(vec![(0, 16)]),
-        });
-        // Doubling the processors at t=20 halves the remaining estimate.
-        engine.note_resized(SimTime::new(20.0), JobId(3), &Placement::new(vec![(0, 32)]));
-        assert!((engine.running[0].est_end - 60.0).abs() < 1e-12);
-        assert_eq!(engine.running[0].placement.total(), 32);
-    }
-
-    #[test]
-    fn span_changing_resize_re_derives_the_extension() {
-        // The regression the satellite fix guards: a 2→1-cluster shrink
-        // sheds the 1.25 wide-area extension, so the remaining estimate
-        // must scale by old_total/new_total × (f_new/f_old) — the old
-        // formula conserved *extended* seconds and over-estimated the
-        // coalesced remainder by 25%.
-        let mut engine = engine(JobDisposition::Malleable, QueueDiscipline::Easy);
-        engine.running.push(RunningEst {
-            id: JobId(7),
-            est_end: 100.0,
-            placement: Placement::new(vec![(0, 16), (1, 16)]),
-        });
-        // At t=20: remaining 80 extended seconds over 32 procs across two
-        // clusters shrink to 16 procs in one: 80 × (32/16) × (1.0/1.25) =
-        // 128, not the old formula's 160.
-        engine.note_resized(SimTime::new(20.0), JobId(7), &Placement::new(vec![(0, 16)]));
-        assert!((engine.running[0].est_end - 148.0).abs() < 1e-12);
-        assert_eq!(engine.running[0].placement.assignments().len(), 1);
     }
 }

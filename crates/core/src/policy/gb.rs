@@ -16,7 +16,7 @@ use coalloc_workload::JobSpec;
 use desim::SimTime;
 
 use crate::audit::{PlacementScope, SimObserver};
-use crate::job::{JobId, JobTable, Placement, SubmitQueue};
+use crate::job::{JobId, JobTable, SubmitQueue};
 use crate::placement::PlacementRule;
 use crate::queue::JobQueue;
 use crate::system::MultiCluster;
@@ -74,14 +74,6 @@ impl Scheduler for GlobalBackfill {
         self.queue.push_front(id);
     }
 
-    fn job_departed(&mut self, id: JobId) {
-        self.flex.note_departed(id);
-    }
-
-    fn job_resized(&mut self, now: SimTime, id: JobId, new_placement: &Placement) {
-        self.flex.note_resized(now, id, new_placement);
-    }
-
     fn schedule_into(
         &mut self,
         now: SimTime,
@@ -124,7 +116,7 @@ mod tests {
     use super::super::testutil::*;
     use super::*;
     use crate::audit::NullObserver;
-    use crate::job::ActiveJob;
+    use crate::job::{ActiveJob, Placement};
 
     fn setup() -> (GlobalBackfill, MultiCluster, JobTable) {
         (

@@ -18,7 +18,7 @@ use coalloc_workload::{JobSpec, QueueRouting, RequestKind};
 use desim::{RngStream, SimTime};
 
 use crate::audit::{PlacementScope, SimObserver};
-use crate::job::{ActiveJob, JobId, JobTable, Placement, SubmitQueue};
+use crate::job::{ActiveJob, JobId, JobTable, SubmitQueue};
 use crate::placement::PlacementRule;
 use crate::queue::{JobQueue, QueueSet};
 use crate::system::MultiCluster;
@@ -175,14 +175,6 @@ impl Scheduler for LocalPriority {
             let queue = self.queues.queue_mut(q);
             self.flex.backfill(&mut p, queue, SubmitQueue::Local(q), |job| lp_local_scope(job, q));
         }
-    }
-
-    fn job_departed(&mut self, id: JobId) {
-        self.flex.note_departed(id);
-    }
-
-    fn job_resized(&mut self, now: SimTime, id: JobId, new_placement: &Placement) {
-        self.flex.note_resized(now, id, new_placement);
     }
 
     fn queued(&self) -> usize {

@@ -69,22 +69,6 @@ pub trait Scheduler: Send {
     /// A job departed: re-enable queues according to the policy's rules.
     fn on_departure(&mut self);
 
-    /// A specific job left the system (completion or fault kill). Only
-    /// the backfilling disciplines care — they track running jobs'
-    /// estimated ends for the reservation replay — so the default is a
-    /// no-op. Called in addition to (before) [`Scheduler::on_departure`]
-    /// for completions.
-    fn job_departed(&mut self, id: JobId) {
-        let _ = id;
-    }
-
-    /// A running malleable job was resized to `new_placement` (see
-    /// [`crate::fault::ResizePolicy`]); backfilling schedulers rescale
-    /// their estimate of its end. Default no-op.
-    fn job_resized(&mut self, now: SimTime, id: JobId, new_placement: &crate::job::Placement) {
-        let _ = (now, id, new_placement);
-    }
-
     /// Re-queues a job killed by a cluster failure at the *head* of its
     /// queue, preserving its FCFS age (the `RequeueFront` interrupt
     /// policy). The default falls back to [`Scheduler::enqueue`] — a

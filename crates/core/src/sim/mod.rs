@@ -13,14 +13,12 @@
 //! assert_eq!(outcome.completed, 2_000);
 //! ```
 
-mod arena;
 mod config;
 pub(crate) mod network;
 mod outcome;
 mod session;
 mod warmup;
 
-pub use arena::{cluster_mask, RunArena, RunRow, SlotId};
 pub use config::{SimConfig, Warmup};
 pub use network::{NetworkSpec, NetworkTopology};
 pub use outcome::SimOutcome;

@@ -244,6 +244,13 @@ pub(crate) fn stretch(factor: f64, share: f64) -> f64 {
     }
 }
 
+/// A flow's endpoints: the bitmask of the clusters a placement's
+/// assignments use (bit `c` set when a component runs on cluster `c`;
+/// `MAX_CLUSTERS == 64` fits a `u64`).
+pub(crate) fn cluster_mask(assignments: &[(usize, u32)]) -> u64 {
+    assignments.iter().fold(0u64, |m, &(c, _)| m | (1u64 << c))
+}
+
 impl FromStr for NetworkSpec {
     type Err = String;
 
@@ -497,6 +504,12 @@ mod tests {
         assert!((stretch(1.25, 0.5) - 1.5).abs() < 1e-15);
         // A span-1 factor of 1.0 never stretches.
         assert_eq!(stretch(1.0, 0.25), 1.0);
+    }
+
+    #[test]
+    fn cluster_mask_folds_assignments() {
+        assert_eq!(cluster_mask(&[(0, 4), (2, 4), (3, 2)]), 0b1101);
+        assert_eq!(cluster_mask(&[]), 0);
     }
 
     #[test]

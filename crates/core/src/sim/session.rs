@@ -20,9 +20,8 @@ use crate::metrics::Metrics;
 use crate::policy::{PolicyKind, PolicyOptions, Scheduler};
 use crate::system::MultiCluster;
 
-use super::arena::{cluster_mask, RunArena, SlotId};
 use super::config::{SimConfig, Warmup};
-use super::network::{self, NetworkSpec, ShareScratch};
+use super::network::{self, cluster_mask, NetworkSpec, ShareScratch};
 use super::outcome::{OccupancyModel, SimOutcome};
 use super::warmup::resolve_auto_warmup;
 
@@ -31,10 +30,10 @@ use super::warmup::resolve_auto_warmup;
 enum SimEvent {
     /// The next job arrives.
     Arrival,
-    /// A running job finishes and releases its processors. The payload
-    /// carries the job's [`SlotId`] in the running-set arena, so the
-    /// departure path reads its hot fields without any lookup.
-    Departure(JobId, SlotId),
+    /// A running job finishes and releases its processors. The job
+    /// table records this event as the job's pending departure, and
+    /// the departure path checks that it is.
+    Departure(JobId),
     /// A cluster fails; `remaining` of its processors stay usable.
     ClusterDown { cluster: usize, remaining: u32 },
     /// A failed cluster is repaired to full capacity.
@@ -75,7 +74,6 @@ struct FaultState {
 #[derive(Debug)]
 struct NetFlow {
     id: JobId,
-    slot: SlotId,
     /// Cluster bitmask of the placement (the flow's endpoints).
     mask: u64,
     /// Nominal extension factor for the current span.
@@ -298,7 +296,9 @@ struct EngineState {
     system: MultiCluster,
     /// The jobs in the system, queued or running: a job leaves it when
     /// it departs or is aborted by a fault, so the table spans only
-    /// the arrivals since the oldest job still present.
+    /// the arrivals since the oldest job still present. Its running
+    /// list is the one registry of running jobs: each one's pending
+    /// departure and backfilling estimate.
     table: JobTable,
     metrics: Metrics,
     sim: Simulation<SimEvent>,
@@ -315,12 +315,6 @@ struct EngineState {
     completed: u64,
     backlog_at_last_arrival: usize,
     peak_backlog: usize,
-    /// The engine's running-job registry: the hot fields (departure
-    /// event and time, size, cluster mask) of every running job in
-    /// struct-of-arrays form. A cluster failure scans it for victims in
-    /// `O(running)`; a malleable resize rewrites its slot through the
-    /// [`SlotId`] carried by the departure event.
-    running: RunArena,
     /// Fault-injection state; `None` unless the config enables faults.
     faults: Option<FaultState>,
     /// Wide-area flow state; `None` unless the run uses
@@ -394,7 +388,7 @@ where
             let now = st.sim.now();
             let trigger = match ev.payload {
                 SimEvent::Arrival => self.arrival(&mut st, now),
-                SimEvent::Departure(id, slot) => self.departure(&mut st, now, id, slot),
+                SimEvent::Departure(id) => self.departure(&mut st, now, id, ev.id),
                 SimEvent::ClusterDown { cluster, remaining } => {
                     self.cluster_down(&mut st, now, cluster, remaining)
                 }
@@ -430,7 +424,6 @@ where
             completed: 0,
             backlog_at_last_arrival: 0,
             peak_backlog: 0,
-            running: RunArena::new(),
             faults: None,
             net: self.model.network().map(|spec| NetState {
                 spec,
@@ -519,15 +512,20 @@ where
 
     /// One departure: release processors, measure the job (outside the
     /// warm-up window), and let the policy re-enable queues.
+    ///
+    /// # Panics
+    /// Panics if `event` is not the departure the table recorded for
+    /// the job — an event the engine moved or cancelled fired anyway —
+    /// or if the job is not running.
     fn departure(
         &mut self,
         st: &mut EngineState,
         now: SimTime,
         id: JobId,
-        slot: SlotId,
+        event: EventId,
     ) -> PassTrigger {
-        let row = st.running.remove(slot);
-        debug_assert_eq!(row.job, id, "departure event names its slot's tenant");
+        let recorded = st.table.running_entry(id).departure;
+        assert_eq!(event, recorded, "job {} departed on a stale event", id.0);
         // Borrow the placement out of the table for the release
         // (it stays the job's state); cloning it here would put
         // one heap round-trip on every departure.
@@ -544,7 +542,6 @@ where
         } else if st.completed >= self.cfg.warmup_jobs {
             st.metrics.record_departure(now, job);
         }
-        self.scheduler.job_departed(id);
         st.table.remove(id);
         self.scheduler.on_departure();
         // A departing multi-cluster job frees its bandwidth: the
@@ -568,35 +565,37 @@ where
         cluster: usize,
         remaining: u32,
     ) -> PassTrigger {
-        // The arena's cluster masks answer "who runs here?" in
-        // O(running); sorted by job id to keep the victim order (and
-        // thus the run) independent of arena slot layout.
-        let mut victims: Vec<(JobId, SlotId)> = st
-            .running
+        // The table's running list answers "who runs here?" without
+        // walking the queued jobs; sorted by job id to keep the victim
+        // order (and thus the run) independent of the list's order.
+        let table = &st.table;
+        let mut victims: Vec<JobId> = table
+            .running()
             .iter()
-            .filter(|&(_, row)| row.mask & (1u64 << cluster) != 0)
-            .map(|(slot, row)| (row.job, slot))
+            .map(|r| r.id)
+            .filter(|&id| {
+                let placement = table.get(id).placement.as_ref().expect("a running job is placed");
+                placement.assignments().iter().any(|&(c, _)| c == cluster)
+            })
             .collect();
-        victims.sort_unstable_by_key(|&(id, _)| id.0);
+        victims.sort_unstable_by_key(|id| id.0);
         let mut net_changed = false;
-        for &(id, slot) in &victims {
+        for &id in &victims {
             // A malleable multi-component victim sheds only the failed
             // component and keeps running on its surviving clusters —
             // the `ShrinkOnly` half of every ResizePolicy.
             if self.cfg.disposition == JobDisposition::Malleable
-                && self.try_shrink(st, now, id, slot, cluster)
+                && self.try_shrink(st, now, id, cluster)
             {
                 continue;
             }
-            let row = st.running.remove(slot);
-            let cancelled = st.sim.cancel(row.event);
+            let cancelled = st.sim.cancel(st.table.running_entry(id).departure);
             debug_assert!(cancelled, "a running job's departure event was pending");
             // Drop the victim's flow *now*: a later victim's shrink
-            // rebalances the fabric and must not see a stale slot.
+            // rebalances the fabric and must not move a departure this
+            // victim no longer has.
             net_changed |= self.net_remove(st, now, id);
-            let job = st.table.get_mut(id);
-            let placement = job.placement.take().expect("victim was started");
-            let start = job.start.take().expect("victim was started");
+            let (placement, start) = st.table.interrupt(id);
             st.system.release(&placement);
             st.metrics.record_release(now, placement.total());
             st.metrics
@@ -607,7 +606,6 @@ where
             let queue = job.queue;
             let info = Interruption { id, cluster, released: &placement, disposition, resplit };
             self.observer.on_job_interrupted(now, job, &info);
-            self.scheduler.job_departed(id);
             match disposition {
                 InterruptPolicy::RequeueFront => self.scheduler.requeue_front(id, queue),
                 InterruptPolicy::RequeueBack => self.scheduler.enqueue(id, queue),
@@ -663,14 +661,14 @@ where
 
     /// Recomputes every flow's bandwidth share after the flow set
     /// changed, and for each flow whose stretch changed: accrues its
-    /// progress at the old rate, adopts the new stretch, and cancels and
-    /// reinserts its departure event at the re-derived end (`O(1)` per
-    /// job through the event's [`SlotId`]). Flows whose stretch did not
-    /// change are untouched — in particular, an uncontended (infinite-
-    /// capacity) fabric never cancels anything, so its event sequence is
-    /// bit-identical to [`OccupancyModel::Faithful`]'s.
+    /// progress at the old rate, adopts the new stretch, and moves its
+    /// departure to the re-derived end ([`move_departure`]). Flows
+    /// whose stretch did not change are untouched — in particular, an
+    /// uncontended (infinite-capacity) fabric never cancels anything,
+    /// so its event sequence is bit-identical to
+    /// [`OccupancyModel::Faithful`]'s.
     fn net_rebalance(&mut self, st: &mut EngineState, now: SimTime) {
-        let EngineState { net, sim, running, .. } = st;
+        let EngineState { net, sim, table, .. } = st;
         let Some(NetState { spec, flows, shares, scratch }) = net.as_mut() else { return };
         if flows.is_empty() {
             return;
@@ -688,11 +686,7 @@ where
             flow.since = now;
             flow.stretch = stretch;
             let new_end = now + Duration::new(flow.remaining * stretch);
-            let row = running.get(flow.slot);
-            let cancelled = sim.cancel(row.event);
-            debug_assert!(cancelled, "a flow job's departure event was pending");
-            let ev = sim.schedule_at(new_end, SimEvent::Departure(flow.id, flow.slot));
-            running.resize_slot(flow.slot, ev, new_end, row.size, row.mask);
+            move_departure(sim, table, flow.id, new_end);
         }
     }
 
@@ -777,7 +771,6 @@ where
         st: &mut EngineState,
         now: SimTime,
         id: JobId,
-        slot: SlotId,
         cluster: usize,
     ) -> bool {
         let job = st.table.get(id);
@@ -785,7 +778,7 @@ where
         if old.assignments().len() < 2 {
             return false;
         }
-        let old_end = st.running.get(slot).end;
+        let old_end = st.table.running_entry(id).end;
         let surviving: Vec<(usize, u32)> =
             old.assignments().iter().copied().filter(|&(c, _)| c != cluster).collect();
         debug_assert!(!surviving.is_empty(), "multi-component victim keeps >=1 component");
@@ -799,6 +792,7 @@ where
         // the plain processor-ratio formula bit for bit.
         let f_old = self.cfg.workload.extension_factor(old.assignments().len());
         let f_new = self.cfg.workload.extension_factor(new.assignments().len());
+        let ratio = f_new / f_old;
         let new_end = if st.net.is_some() {
             self.net_resize(
                 st,
@@ -810,7 +804,7 @@ where
                 cluster_mask(new.assignments()),
             )
         } else {
-            now + Duration::new((old_end - now).seconds() * old_total / new_total * (f_new / f_old))
+            now + Duration::new(rescaled((old_end - now).seconds(), old_total, new_total, ratio))
         };
         // Swap the allocation: the failed component's processors return
         // to (what is about to become) the degraded cluster, the rest
@@ -818,14 +812,7 @@ where
         st.system.release(&old);
         st.system.apply(&new);
         st.metrics.record_release(now, old.total() - new.total());
-        let cancelled = st.sim.cancel(st.running.get(slot).event);
-        debug_assert!(cancelled, "a running job's departure event was pending");
-        let ev = st.sim.schedule_at(new_end, SimEvent::Departure(id, slot));
-        st.running.resize_slot(slot, ev, new_end, new.total(), cluster_mask(new.assignments()));
-        st.table.get_mut(id).placement = Some(new.clone());
-        self.scheduler.job_resized(now, id, &new);
-        let resize = Resize { id, from: &old, to: &new, old_end, new_end };
-        self.observer.on_job_resized(now, st.table.get(id), &resize);
+        self.commit_resize(st, now, &Resize { id, from: &old, to: &new, old_end, new_end }, ratio);
         // The shrunk flow's mask changed (or it left the fabric), so the
         // surviving flows' shares may have too.
         self.net_rebalance(st, now);
@@ -841,19 +828,18 @@ where
     /// remaining work.
     fn maybe_grow(&mut self, st: &mut EngineState, now: SimTime) {
         // Latest departure wins, ties to the smallest job id — the
-        // explicit tie-break keeps the choice independent of arena
-        // slot order (the old registry scanned ids ascending).
-        let mut best: Option<(SimTime, JobId, SlotId)> = None;
-        for (slot, row) in st.running.iter() {
-            let better = best.is_none_or(|(bend, bid, _)| {
-                row.end > bend || (row.end == bend && row.job.0 < bid.0)
-            });
+        // explicit tie-break keeps the choice independent of the
+        // running list's order.
+        let mut best: Option<(SimTime, JobId)> = None;
+        for r in st.table.running() {
+            let better =
+                best.is_none_or(|(bend, bid)| r.end > bend || (r.end == bend && r.id.0 < bid.0));
             if better {
-                best = Some((row.end, row.job, slot));
+                best = Some((r.end, r.id));
             }
         }
-        let Some((old_end, id, slot)) = best else { return };
-        let old = st.table.get(id).placement.clone().expect("registry lists running jobs");
+        let Some((old_end, id)) = best else { return };
+        let old = st.table.get(id).placement.clone().expect("a running job is placed");
         let limit = self.cfg.workload.limit;
         let mut grown = Vec::with_capacity(old.assignments().len());
         let mut extras = Vec::new();
@@ -878,18 +864,32 @@ where
             let f = self.cfg.workload.extension_factor(span);
             self.net_resize(st, now, id, old_total, new_total, f, cluster_mask(new.assignments()))
         } else {
-            now + Duration::new((old_end - now).seconds() * old_total / new_total)
+            now + Duration::new(rescaled((old_end - now).seconds(), old_total, new_total, 1.0))
         };
         st.system.apply(&Placement::new(extras));
         st.metrics.record_allocate(now, new.total() - old.total());
-        let cancelled = st.sim.cancel(st.running.get(slot).event);
-        debug_assert!(cancelled, "a running job's departure event was pending");
-        let ev = st.sim.schedule_at(new_end, SimEvent::Departure(id, slot));
-        st.running.resize_slot(slot, ev, new_end, new.total(), cluster_mask(new.assignments()));
-        st.table.get_mut(id).placement = Some(new.clone());
-        self.scheduler.job_resized(now, id, &new);
-        let resize = Resize { id, from: &old, to: &new, old_end, new_end };
-        self.observer.on_job_resized(now, st.table.get(id), &resize);
+        self.commit_resize(st, now, &Resize { id, from: &old, to: &new, old_end, new_end }, 1.0);
+    }
+
+    /// The common tail of a shrink and a grow, once the processors have
+    /// moved: the departure moves to `resize.new_end`, backfilling's
+    /// estimate rescales as the actual time left did (`ratio` as in
+    /// [`rescaled`]), the table takes the new placement, and the
+    /// observer sees the resize with both already applied.
+    fn commit_resize(
+        &mut self,
+        st: &mut EngineState,
+        now: SimTime,
+        resize: &Resize<'_>,
+        ratio: f64,
+    ) {
+        let Resize { id, from, to, new_end, .. } = *resize;
+        move_departure(&mut st.sim, &mut st.table, id, new_end);
+        let run = st.table.running_entry_mut(id);
+        let (old_total, new_total) = (f64::from(from.total()), f64::from(to.total()));
+        run.est_end = rescaled_estimate(now, run.est_end, old_total, new_total, ratio);
+        st.table.get_mut(id).placement = Some(to.clone());
+        self.observer.on_job_resized(now, st.table.get(id), resize);
     }
 
     /// Re-splits an interrupted unordered multi-component request when
@@ -976,12 +976,11 @@ where
             self.observer.on_start(now, id, job, occupancy);
             st.metrics.record_allocate(now, procs);
             let end = now + occupancy;
-            // The departure event carries its slot, and the slot stores
-            // its event: claim the slot first with a placeholder, then
-            // patch the real event id in.
-            let slot = st.running.insert(id, EventId::from_raw(u64::MAX), end, procs, mask);
-            let ev = st.sim.schedule_at(end, SimEvent::Departure(id, slot));
-            st.running.set_event(slot, ev);
+            // The scheduler listed the job as running; its departure is
+            // the engine's to schedule and record.
+            let run = st.table.running_entry_mut(id);
+            run.departure = st.sim.schedule_at(end, SimEvent::Departure(id));
+            run.end = end;
             // A multi-cluster start opens a wide-area flow. Its initial
             // stretch is the nominal factor (the occupancy above), which
             // is already on the calendar; the rebalance below reschedules
@@ -991,7 +990,6 @@ where
                     let factor = self.cfg.workload.extension_factor(span);
                     net.flows.push(NetFlow {
                         id,
-                        slot,
                         mask,
                         factor,
                         remaining: base,
@@ -1059,11 +1057,72 @@ where
     }
 }
 
+/// Moves running job `id`'s departure to `end`: cancels the event the
+/// table recorded and schedules, and records, a new one.
+fn move_departure(sim: &mut Simulation<SimEvent>, table: &mut JobTable, id: JobId, end: SimTime) {
+    let run = table.running_entry_mut(id);
+    let cancelled = sim.cancel(run.departure);
+    debug_assert!(cancelled, "a running job's departure event was pending");
+    run.departure = sim.schedule_at(end, SimEvent::Departure(id));
+    run.end = end;
+}
+
+/// The time left after a resize: `left` seconds scale by the processor
+/// ratio `old_total / new_total` and by `ratio`, the new span's
+/// extension factor over the old span's, so the remaining base work is
+/// conserved. A grow keeps its span and passes exactly 1.0.
+fn rescaled(left: f64, old_total: f64, new_total: f64, ratio: f64) -> f64 {
+    left * old_total / new_total * ratio
+}
+
+/// Backfilling's estimate of a job's end after a resize at `now`: the
+/// estimated time left rescales as the actual time left does
+/// ([`rescaled`]). An infinite estimate stays infinite.
+fn rescaled_estimate(
+    now: SimTime,
+    est_end: f64,
+    old_total: f64,
+    new_total: f64,
+    ratio: f64,
+) -> f64 {
+    if !est_end.is_finite() {
+        return est_end;
+    }
+    let t = now.seconds();
+    t + rescaled(est_end - t, old_total, new_total, ratio)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
     use crate::system::SystemSpec;
+
+    #[test]
+    fn resize_rescales_the_estimate() {
+        // Doubling the processors at t=20 halves the remaining estimate.
+        let est = rescaled_estimate(SimTime::new(20.0), 100.0, 16.0, 32.0, 1.0);
+        assert!((est - 60.0).abs() < 1e-12);
+        // An infinite estimate (no backfilling) stays infinite.
+        let none = rescaled_estimate(SimTime::new(20.0), f64::INFINITY, 16.0, 32.0, 1.0);
+        assert_eq!(none, f64::INFINITY);
+    }
+
+    #[test]
+    fn span_changing_resize_re_derives_the_extension() {
+        // The regression this guards: a 2→1-cluster shrink sheds the
+        // 1.25 wide-area extension, so the remaining estimate must scale
+        // by old_total/new_total × (f_new/f_old) — the old formula
+        // conserved *extended* seconds and over-estimated the coalesced
+        // remainder by 25%.
+        let workload = coalloc_workload::Workload::das(16);
+        let ratio = workload.extension_factor(1) / workload.extension_factor(2);
+        // At t=20: remaining 80 extended seconds over 32 procs across two
+        // clusters shrink to 16 procs in one: 80 × (32/16) × (1.0/1.25) =
+        // 128, not the old formula's 160.
+        let est = rescaled_estimate(SimTime::new(20.0), 100.0, 32.0, 16.0, ratio);
+        assert!((est - 148.0).abs() < 1e-12);
+    }
 
     fn quick(policy: PolicyKind, limit: u32, util: f64) -> SimConfig {
         let mut cfg = SimConfig::das(policy, limit, util);

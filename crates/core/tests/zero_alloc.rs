@@ -133,16 +133,18 @@ fn submit(
     id
 }
 
-/// Releases a started job's processors and runs the departure hook —
+/// Releases a started job's processors, removes it from the table (and
+/// with it from the table's running list) and runs the departure hook —
 /// exactly what the event loop does on `SimEvent::Departure`.
 fn depart(
-    table: &JobTable,
+    table: &mut JobTable,
     system: &mut MultiCluster,
     policy: &mut Box<dyn coalloc_core::policy::Scheduler>,
     id: JobId,
 ) {
     let placement = table.get(id).placement.as_ref().expect("job was started");
     system.release(placement);
+    table.remove(id);
     policy.on_departure();
 }
 
@@ -183,7 +185,7 @@ fn steady_state_event_cycle_is_allocation_free() {
     assert_eq!((a, f), (0, 0), "GS no-start pass must not touch the heap");
 
     // Section 2: departure release + queue re-enable.
-    let ((), a, f) = counted(|| depart(&table, &mut system, &mut policy, filler));
+    let ((), a, f) = counted(|| depart(&mut table, &mut system, &mut policy, filler));
     assert_eq!((a, f), (0, 0), "GS departure release must not touch the heap");
 
     // Section 3: a pass that starts one job is also allocation-free —
@@ -218,7 +220,7 @@ fn steady_state_event_cycle_is_allocation_free() {
     assert!(started.is_empty(), "queue 0 head does not fit its full cluster");
 
     // Steady state: departure on cluster 0 re-enables queue 0 in place…
-    let ((), a, f) = counted(|| depart(&table, &mut system, &mut policy, fillers[0]));
+    let ((), a, f) = counted(|| depart(&mut table, &mut system, &mut policy, fillers[0]));
     assert_eq!((a, f), (0, 0), "LS departure + re-enable must not touch the heap");
 
     // …and the next pass starts the waiting local job, touching no heap.

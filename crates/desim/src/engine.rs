@@ -30,34 +30,25 @@ use crate::calendar::{EventCalendar, HeapCalendar};
 use crate::event::{Event, EventId};
 use crate::time::{Duration, SimTime};
 
-/// A discrete-event simulation: a clock plus a pending-event calendar.
-///
-/// Generic over the payload type `E` and the calendar implementation `C`
-/// (binary heap by default).
-pub struct Simulation<E, C: EventCalendar<E> = HeapCalendar<E>> {
+/// A discrete-event simulation: a clock plus a pending-event calendar,
+/// generic over the payload type `E`. The calendar is a
+/// [`HeapCalendar`].
+pub struct Simulation<E> {
     now: SimTime,
     next_id: u64,
-    calendar: C,
-    _marker: core::marker::PhantomData<E>,
+    calendar: HeapCalendar<E>,
 }
 
-impl<E> Simulation<E, HeapCalendar<E>> {
-    /// Creates a simulation at time zero with a heap calendar.
-    pub fn new() -> Self {
-        Simulation::with_calendar(HeapCalendar::new())
-    }
-}
-
-impl<E> Default for Simulation<E, HeapCalendar<E>> {
+impl<E> Default for Simulation<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E, C: EventCalendar<E>> Simulation<E, C> {
-    /// Creates a simulation at time zero over a custom calendar.
-    pub fn with_calendar(calendar: C) -> Self {
-        Simulation { now: SimTime::ZERO, next_id: 0, calendar, _marker: core::marker::PhantomData }
+impl<E> Simulation<E> {
+    /// Creates a simulation at time zero.
+    pub fn new() -> Self {
+        Simulation { now: SimTime::ZERO, next_id: 0, calendar: HeapCalendar::new() }
     }
 
     /// The current simulated time.

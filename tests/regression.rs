@@ -8,8 +8,8 @@
 //! rounding; it is far below any behavioural change.
 
 use coalloc::core::{
-    maximal_utilization, FaultSpec, InvariantAuditor, JsonlSink, NetworkSpec, PolicyKind,
-    QueueDiscipline, SaturationConfig, SimBuilder, SimConfig,
+    maximal_utilization, FaultSpec, InterruptPolicy, InvariantAuditor, JsonlSink, NetworkSpec,
+    PolicyKind, QueueDiscipline, SaturationConfig, SimBuilder, SimConfig,
 };
 use coalloc::workload::JobDisposition;
 
@@ -203,13 +203,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// One extended-schedule case: seed 2003, 1 500 jobs, offered gross
 /// utilization 0.6, SC on its one cluster, the others on 4×32 at
-/// limit 16. Returns the pinned triple: the mean response's bit
-/// pattern, the completed count, and the FNV-1a of the JSONL log.
+/// limit 16, under `network` (`None`: the paper's constant extension)
+/// with `interrupt` deciding a fault victim's fate. Returns the pinned
+/// triple: the mean response's bit pattern, the completed count, and
+/// the FNV-1a of the JSONL log.
 fn extended_case(
     policy: PolicyKind,
     disposition: JobDisposition,
     discipline: QueueDiscipline,
     faulty: bool,
+    network: Option<NetworkSpec>,
+    interrupt: InterruptPolicy,
 ) -> (u64, u64, u64) {
     let mut cfg = if policy == PolicyKind::Sc {
         SimConfig::das_single_cluster(0.6)
@@ -223,6 +227,8 @@ fn extended_case(
     if faulty {
         cfg.faults = Some(FaultSpec::Exponential { mttf: 60_000.0, mttr: 5_000.0 });
     }
+    cfg.network = network;
+    cfg.interrupt = interrupt;
     let mut sink = JsonlSink::new(Vec::new());
     let out = SimBuilder::new(&cfg).run_observed(&mut sink);
     let log = sink.finish().expect("writing to a Vec cannot fail");
@@ -277,11 +283,68 @@ fn golden_extended_schedules_per_policy() {
         (Gb, Malleable, Cons, true, 0x4096cec7598574c7, 1500, 0x616b044dad0229b1),
     ];
     for (policy, disposition, discipline, faulty, resp, completed, log) in golden {
-        let got = extended_case(policy, disposition, discipline, faulty);
+        let got = extended_case(
+            policy,
+            disposition,
+            discipline,
+            faulty,
+            None,
+            InterruptPolicy::RequeueFront,
+        );
         assert_eq!(
             got,
             (resp, completed, log),
             "{policy} {disposition:?} {discipline:?} faulty={faulty}: mean response {}",
+            f64::from_bits(got.0)
+        );
+    }
+}
+
+#[test]
+fn golden_malleable_schedules_under_the_network_model() {
+    // Malleable jobs under conservative backfilling with exp:60000:5000
+    // faults, on a capacity-1 fabric of either topology, each victim
+    // requeued at the front, at the back or aborted: a shrink moves a
+    // victim's flow, a grow reprices it, and every departure the fabric
+    // moves is rescheduled. Each run logs 41–56 `resized` and 1–4
+    // `job_interrupted` events, so these pin the resize and rebalance
+    // paths together with the victims' fates and the backfilling
+    // estimates a resize rescales.
+    use InterruptPolicy::{Abort, RequeueBack as Back, RequeueFront as Front};
+    use PolicyKind::{Gb, Gs, Lp, Ls};
+    let pairwise = NetworkSpec::pairwise(1.0);
+    let backbone = NetworkSpec::backbone(1.0);
+    let golden = [
+        (Gs, pairwise, Front, 0x40a6e00410fc10a1, 1500, 0x4087c351d7def767),
+        (Gs, backbone, Front, 0x40b449db1f910cd2, 1500, 0xdee074dec03e860b),
+        (Ls, pairwise, Front, 0x40a7c50194ba24c8, 1500, 0x88430dc14354d616),
+        (Ls, backbone, Front, 0x40ae0972511a4ca2, 1500, 0xdc32dd268b6678d2),
+        (Lp, pairwise, Front, 0x40af034544bf844c, 1500, 0x94bf2c0afe6f8c6c),
+        (Lp, backbone, Front, 0x40b4fd5924cdf7fc, 1500, 0x205c523d2b5f9339),
+        (Gb, pairwise, Front, 0x40a6e00410fc10a1, 1500, 0x77fbb28a4672761b),
+        (Gb, backbone, Front, 0x40b449db1f910cd2, 1500, 0x7cbe25b90da33c77),
+        (Gs, pairwise, Back, 0x40a6e00410fc10a1, 1500, 0x30665138eaa6b6cf),
+        (Gs, pairwise, Abort, 0x40a6e5411d127b5e, 1497, 0xb5424a594dccf154),
+        (Ls, pairwise, Back, 0x40a7b0dd201097da, 1500, 0xe7b7c2e498038b14),
+        (Ls, pairwise, Abort, 0x40a7c468faca0bbc, 1499, 0xe4927b46753f0127),
+        (Lp, pairwise, Back, 0x40af034544bf844c, 1500, 0xbc40810db2499d60),
+        (Lp, pairwise, Abort, 0x40af032ac91e9768, 1499, 0xe0a922ba72a4fcb9),
+        (Gb, pairwise, Back, 0x40a6e00410fc10a1, 1500, 0x0999c2f6bb02f963),
+        (Gb, pairwise, Abort, 0x40a6e5411d127b5e, 1497, 0x691878567b86f9b1),
+    ];
+    for (policy, network, interrupt, resp, completed, log) in golden {
+        let got = extended_case(
+            policy,
+            JobDisposition::Malleable,
+            QueueDiscipline::Conservative,
+            true,
+            Some(network),
+            interrupt,
+        );
+        assert_eq!(
+            got,
+            (resp, completed, log),
+            "{policy} under {network:?} with {interrupt:?}: mean response {}",
             f64::from_bits(got.0)
         );
     }
